@@ -1,11 +1,13 @@
 """Neural-net layers composed from tensor ops, plus the two model builders.
 
 Convolution and pooling register their own backward closures rather than
-composing primitives: patches are gathered with strided slicing (one slice
-per kernel offset) and contracted with BLAS matmuls, which keeps a full
-training run at desk scale in the seconds-to-minutes range. The scatter in
-the conv/pool backward uses the same fixed slice order, so gradients are
-bit-reproducible.
+composing primitives. Both work on the k*k strided window views of their
+input (one view per kernel offset, always in (ky, kx) order). Conv2d copies
+the views once into channel-major im2col columns and contracts them with
+BLAS matmuls; MaxPool2d reduces them pairwise with np.maximum and finds the
+gradient routing only when its backward runs. Every scatter-add walks the
+offsets in the same order, so gradients are bit-reproducible, and a full
+training run at desk scale stays in the seconds-to-minutes range.
 
 Layout is NCHW. Parameter names inside a layer are "weight" and "bias";
 Model prefixes them with the layer's name ("conv1.weight", ...).
@@ -24,21 +26,9 @@ def glorot_uniform(rng: Rng, shape: tuple, fan_in: int, fan_out: int, dtype) -> 
     return rng.uniform(n, -limit, limit).reshape(shape).astype(dtype)
 
 
-def _gather_patches(xp: np.ndarray, kh: int, kw: int, s: int, ho: int, wo: int) -> np.ndarray:
-    """(N,C,Hp,Wp) -> (N,C,kh,kw,ho,wo) window view copies, fixed offset order."""
-    n, c = xp.shape[:2]
-    out = np.empty((n, c, kh, kw, ho, wo), dtype=xp.dtype)
-    for ky in range(kh):
-        for kx in range(kw):
-            out[:, :, ky, kx] = xp[:, :, ky : ky + s * ho : s, kx : kx + s * wo : s]
-    return out
-
-
-def _scatter_patches(dxp: np.ndarray, dp: np.ndarray, kh: int, kw: int, s: int, ho: int, wo: int):
-    """Adjoint of _gather_patches: accumulate window grads back into dxp."""
-    for ky in range(kh):
-        for kx in range(kw):
-            dxp[:, :, ky : ky + s * ho : s, kx : kx + s * wo : s] += dp[:, :, ky, kx]
+def _windows(k: int, s: int, ho: int, wo: int) -> list:
+    """Index tuples of the k*k strided window views over an NCHW map, (ky, kx) order."""
+    return [(..., slice(ky, ky + s * ho, s), slice(kx, kx + s * wo, s)) for ky, kx in np.ndindex(k, k)]
 
 
 class Conv2d:
@@ -104,29 +94,32 @@ class Conv2d:
         if c != self.in_channels:
             raise ShapeError(f"conv: input has {c} channels, layer expects {self.in_channels}")
         ho, wo = self.out_shape(h, w)
-        k, s, p = self.kernel_size, self.stride, self.padding
+        k, s, p, oc = self.kernel_size, self.stride, self.padding, self.out_channels
         weight, bias = self.weight, self.bias
 
-        xp = x.data
-        if p:
-            xp = np.pad(xp, ((0, 0), (0, 0), (p, p), (p, p)))
-        patches = _gather_patches(xp, k, k, s, ho, wo).reshape(n, c * k * k, ho * wo)
-        w2 = weight.data.reshape(self.out_channels, c * k * k)
-        out = np.matmul(w2, patches)  # (N, out_c, ho*wo)
-        out += bias.data[None, :, None]
-        out = out.reshape(n, self.out_channels, ho, wo)
+        xp = np.zeros((c, n, h + 2 * p, w + 2 * p), x.dtype)  # channel-major, zero border
+        xp[:, :, p : p + h, p : p + w] = x.data.transpose(1, 0, 2, 3)
+        win = _windows(k, s, ho, wo)
+        cols = np.empty((c, k * k, n, ho, wo), x.dtype)
+        for i, v in enumerate(win):
+            cols[:, i] = xp[v]
+        cols = cols.reshape(c * k * k, n, ho * wo)
+        w2 = weight.data.reshape(oc, c * k * k)
+        out = np.matmul(w2, cols.transpose(1, 0, 2))  # GEMM per sample; C order fixes g.sum's order
+        out += bias.data[:, None]
+        out = out.reshape(n, oc, ho, wo)
 
         def backward(g):
-            g2 = g.reshape(n, self.out_channels, ho * wo)
-            weight.accumulate_grad(
-                np.tensordot(g2, patches, axes=([0, 2], [0, 2])).reshape(weight.shape)
-            )
+            g2 = g.reshape(n, oc, ho * wo)
+            gt = g2.transpose(1, 0, 2).reshape(oc, n * ho * wo)
+            weight.accumulate_grad(np.dot(cols.reshape(c * k * k, -1), gt.T).T.reshape(weight.shape))
             bias.accumulate_grad(g2.sum(axis=(0, 2)))
             if x.requires_grad:
-                dpatches = np.matmul(w2.T, g2).reshape(n, c, k, k, ho, wo)
-                dxp = np.zeros_like(xp)
-                _scatter_patches(dxp, dpatches, k, k, s, ho, wo)
-                x.accumulate_grad(dxp[:, :, p : p + h, p : p + w] if p else dxp)
+                dpatches = np.matmul(w2.T, g2).reshape(n, c, k * k, ho, wo)
+                dxp = np.zeros((n, c, h + 2 * p, w + 2 * p), x.dtype)
+                for i, v in enumerate(win):
+                    np.add(dxp[v], dpatches[:, :, i], out=dxp[v])
+                x.accumulate_grad(dxp[:, :, p : p + h, p : p + w])
 
         return Tensor.from_op(out, (x, weight, bias), backward)
 
@@ -134,7 +127,14 @@ class Conv2d:
 
 
 class MaxPool2d:
-    """Window max pooling; ties give the gradient to the lowest flat index."""
+    """Window max pooling; ties give the gradient to the lowest flat index.
+
+    Windows may overlap (stride < window). A window holding a NaN outputs NaN
+    but, unlike with an argmax, routes no gradient; train() never gets there,
+    as it raises NumericError on the non-finite loss before backward(). A
+    non-finite upstream gradient also reaches the window's other cells, as
+    NaN (inf * 0).
+    """
 
     def __init__(self, window: int = 2, stride: int | None = None):
         if window < 1:
@@ -164,16 +164,18 @@ class MaxPool2d:
         n, c, h, w = x.shape
         ho, wo = self.out_shape(h, w)
         k, s = self.window, self.stride
-        windows = _gather_patches(x.data, k, k, s, ho, wo).reshape(n, c, k * k, ho * wo)
-        idx = np.argmax(windows, axis=2)  # first max wins on ties
-        out = np.take_along_axis(windows, idx[:, :, None, :], axis=2)[:, :, 0, :]
-        out = out.reshape(n, c, ho, wo)
+        a, win = x.data, _windows(k, s, ho, wo)
+        out = a[win[0]].copy()
+        for v in win[1:]:
+            np.maximum(a[v], out, out=out)  # on a tie numpy returns the second operand
 
         def backward(g):
-            dwin = np.zeros((n, c, k * k, ho * wo), dtype=g.dtype)
-            np.put_along_axis(dwin, idx[:, :, None, :], g.reshape(n, c, 1, ho * wo), axis=2)
-            dx = np.zeros_like(x.data)
-            _scatter_patches(dx, dwin.reshape(n, c, k, k, ho, wo), k, k, s, ho, wo)
+            dx = np.zeros_like(a)
+            free = np.ones(out.shape, bool)
+            for v in win:
+                hit = (a[v] == out) & free
+                free ^= hit
+                np.add(dx[v], g * hit, out=dx[v])
             x.accumulate_grad(dx)
 
         return Tensor.from_op(out, (x,), backward)
@@ -250,9 +252,11 @@ class Dense:
 def sigmoid(x: Tensor) -> Tensor:
     """Numerically stable logistic: exp only ever sees non-positive arguments."""
     a = x.data
-    pos = a >= 0
-    e = np.exp(np.where(pos, -a, a))
-    s = np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e)).astype(a.dtype)
+    e = np.abs(a)
+    np.exp(np.negative(e, out=e), out=e)  # in place: fresh pages cost more than the exp
+    s = np.maximum(e, a >= 0)  # 1 where a >= 0, else e: then s / (1 + e) is either branch
+    e += 1
+    s /= e
 
     def backward(g):
         x.accumulate_grad(g * s * (1.0 - s))

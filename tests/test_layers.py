@@ -329,3 +329,232 @@ def test_model_duplicate_names_rejected():
             ("d", Dense(2, 2, weight=np.zeros((2, 2)))),
             ("d", Dense(2, 2, weight=np.zeros((2, 2)))),
         ])
+
+
+# ---- byte equivalence with the reference kernels ----
+#
+# The kernels below are the first implementation of each layer, kept as
+# oracles: im2col by per-offset patch gathering with argmax pooling, a
+# two-`where` sigmoid, a `tensordot` weight gradient and a pad + scatter-add
+# input gradient. The layers must reproduce their floats bit for bit, so a
+# pinned training trajectory cannot move. Upstream gradients are fed to the
+# backward closures directly, because the tape would turn a -0.0 into +0.0
+# before the layer saw it.
+#
+# One known exception: the conv weight gradient is one GEMM over N*ho*wo that
+# computes its transpose, im2col columns times g transposed, without the
+# reference's transposed copy of the columns. OpenBLAS sends GEMMs of at most
+# about 1e6 multiply-adds to small-matrix kernels whose summation order depends
+# on the operand layout, so below that size the weight gradient may differ in
+# the last bits. Every conv of the desk network is above it, and the byte
+# tests below use such shapes; test_conv_small_shapes pins what still holds
+# below it.
+
+DESK_BATCHES = (16, 64, 32, 20)  # train batch, eval batch, eval remainders
+DESK_CONVS = ((3, 8, 64), (8, 16, 32), (16, 32, 16))  # (in_c, out_c, size) per block
+DTYPES = (np.float32, np.float64)
+
+
+def ref_windows(k, s, ho, wo):
+    return [
+        (ky, kx, (..., slice(ky, ky + s * ho, s), slice(kx, kx + s * wo, s)))
+        for ky in range(k)
+        for kx in range(k)
+    ]
+
+
+def ref_gather(xp, k, s, ho, wo):
+    n, c = xp.shape[:2]
+    out = np.empty((n, c, k, k, ho, wo), dtype=xp.dtype)
+    for ky, kx, v in ref_windows(k, s, ho, wo):
+        out[:, :, ky, kx] = xp[v]
+    return out
+
+
+def ref_scatter(dxp, dp, k, s, ho, wo):
+    for ky, kx, v in ref_windows(k, s, ho, wo):
+        dxp[v] += dp[:, :, ky, kx]
+
+
+def ref_conv(x, w, b, stride, padding, g):
+    """-> (out, dx, dweight, dbias)."""
+    n, c, h, wd = x.shape
+    oc, _, k, _ = w.shape
+    p = padding
+    ho, wo = (h + 2 * p - k) // stride + 1, (wd + 2 * p - k) // stride + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    patches = ref_gather(xp, k, stride, ho, wo).reshape(n, c * k * k, ho * wo)
+    w2 = w.reshape(oc, c * k * k)
+    out = np.matmul(w2, patches)
+    out += b[None, :, None]
+    g2 = g.reshape(n, oc, ho * wo)
+    dw = np.tensordot(g2, patches, axes=([0, 2], [0, 2])).reshape(w.shape)
+    dxp = np.zeros_like(xp)
+    ref_scatter(dxp, np.matmul(w2.T, g2).reshape(n, c, k, k, ho, wo), k, stride, ho, wo)
+    return out.reshape(n, oc, ho, wo), dxp[:, :, p : p + h, p : p + wd], dw, g2.sum(axis=(0, 2))
+
+
+def ref_pool(x, k, s, g):
+    """-> (out, dx)."""
+    n, c, h, w = x.shape
+    ho, wo = (h - k) // s + 1, (w - k) // s + 1
+    windows = ref_gather(x, k, s, ho, wo).reshape(n, c, k * k, ho * wo)
+    idx = np.argmax(windows, axis=2)
+    out = np.take_along_axis(windows, idx[:, :, None, :], axis=2)[:, :, 0, :]
+    dwin = np.zeros((n, c, k * k, ho * wo), dtype=g.dtype)
+    np.put_along_axis(dwin, idx[:, :, None, :], g.reshape(n, c, 1, ho * wo), axis=2)
+    dx = np.zeros_like(x)
+    ref_scatter(dx, dwin.reshape(n, c, k, k, ho, wo), k, s, ho, wo)
+    return out.reshape(n, c, ho, wo), dx
+
+
+def ref_sigmoid(a, g):
+    """-> (out, dx)."""
+    pos = a >= 0
+    e = np.exp(np.where(pos, -a, a))
+    s = np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e)).astype(a.dtype)
+    return s, g * s * (1.0 - s)
+
+
+def accumulated(d):
+    """What Tensor.accumulate_grad stores for a first contribution d."""
+    acc = np.zeros_like(d)
+    acc += d
+    return acc
+
+
+def assert_same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes(), f"max abs diff {np.abs(got - want).max()}"
+
+
+def with_negative_zeros(rng, g):
+    """A quarter of the upstream gradient set to -0.0."""
+    g = g.copy()
+    g[rng.random(g.shape) < 0.25] = -0.0
+    return g
+
+
+def check_conv(rng, dtype, n, c, oc, size, k=3, stride=1, padding=1, exact_dweight=True):
+    x = rng.standard_normal((n, c, size, size)).astype(dtype)
+    w = (rng.standard_normal((oc, c, k, k)) * 0.3).astype(dtype)
+    b = rng.standard_normal(oc).astype(dtype)
+    conv = Conv2d(c, oc, k, stride=stride, padding=padding, weight=w, bias=b, dtype=dtype)
+    xt = Tensor(x, requires_grad=True, dtype=dtype)
+    out = conv(xt)
+    g = with_negative_zeros(rng, rng.standard_normal(out.shape).astype(dtype))
+    out._backward(g)
+    want = ref_conv(x, w, b, stride, padding, g)
+    assert_same_bytes(out.data, want[0])
+    assert_same_bytes(xt.grad, accumulated(want[1]))
+    assert_same_bytes(conv.bias.grad, accumulated(want[3]))
+    if exact_dweight:
+        assert_same_bytes(conv.weight.grad, accumulated(want[2]))
+    else:
+        # a different summation order: a few ulps of sum |g * x| per entry
+        scale = ref_conv(np.abs(x), w, b, stride, padding, np.abs(g))[2]
+        assert (np.abs(conv.weight.grad - want[2]) <= 8 * np.finfo(dtype).eps * scale).all()
+
+
+def check_pool(rng, dtype, x, k=2, stride=None):
+    stride = k if stride is None else stride
+    xt = Tensor(x, requires_grad=True, dtype=dtype)
+    out = MaxPool2d(k, stride)(xt)
+    g = with_negative_zeros(rng, rng.standard_normal(out.shape).astype(dtype))
+    out._backward(g)
+    want = ref_pool(x, k, stride, g)
+    assert_same_bytes(out.data, want[0])
+    assert_same_bytes(xt.grad, accumulated(want[1]))
+
+
+def check_sigmoid(rng, dtype, a):
+    xt = Tensor(a, requires_grad=True, dtype=dtype)
+    out = sigmoid(xt)
+    g = with_negative_zeros(rng, rng.standard_normal(a.shape).astype(dtype))
+    out._backward(g)
+    want = ref_sigmoid(a, g)
+    assert_same_bytes(out.data, want[0])
+    assert_same_bytes(xt.grad, accumulated(want[1]))
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+class TestReferenceKernelBytes:
+    @pytest.mark.parametrize("n", DESK_BATCHES)
+    def test_conv_desk_shapes(self, dtype, n):
+        rng = np.random.default_rng(n)
+        for c, oc, size in DESK_CONVS:
+            check_conv(rng, dtype, n, c, oc, size)
+
+    @pytest.mark.parametrize(
+        "n, c, oc, size, k, stride, padding",
+        [
+            (16, 8, 16, 33, 3, 2, 0),  # stride 2, padding 0
+            (16, 8, 16, 31, 3, 2, 1),  # stride 2, padded
+            (8, 8, 16, 34, 3, 1, 0),  # padding 0
+            (8, 4, 8, 36, 5, 1, 2),  # 5x5 kernel
+        ],
+    )
+    def test_conv_stride_and_padding(self, dtype, n, c, oc, size, k, stride, padding):
+        check_conv(np.random.default_rng(size), dtype, n, c, oc, size, k, stride, padding)
+
+    @pytest.mark.parametrize(
+        "n, c, oc, size",
+        [
+            (8, 3, 2, 32),  # the imbalance suite's network: channels 2, 4, batch 8
+            (8, 2, 4, 16),
+            (3, 2, 3, 4),
+            (1, 1, 1, 2),
+        ],
+    )
+    def test_conv_small_shapes(self, dtype, n, c, oc, size):
+        check_conv(np.random.default_rng(size), dtype, n, c, oc, size, exact_dweight=False)
+
+    @pytest.mark.parametrize("n", DESK_BATCHES)
+    def test_pool_desk_shapes(self, dtype, n):
+        rng = np.random.default_rng(n)
+        for _, c, size in DESK_CONVS:
+            check_pool(rng, dtype, rng.random((n, c, size, size)).astype(dtype))
+
+    @pytest.mark.parametrize("k, stride", [(2, 2), (3, 1), (3, 2), (3, 3)])
+    def test_pool_ties_and_signed_zeros(self, dtype, k, stride):
+        # values on a coarse grid, with signed zeros, make most windows tie
+        rng = np.random.default_rng(k * 10 + stride)
+        size = 3 * 6 + 1 if stride < k else 3 * 6
+        x = np.round(rng.standard_normal((4, 3, size, size)) * 1.5) / 2
+        x[rng.random(x.shape) < 0.2] = 0.0
+        x[rng.random(x.shape) < 0.2] = -0.0
+        check_pool(rng, dtype, x.astype(dtype), k, stride)
+
+    @pytest.mark.parametrize("n", DESK_BATCHES)
+    def test_sigmoid_desk_shapes(self, dtype, n):
+        rng = np.random.default_rng(n)
+        for _, c, size in DESK_CONVS:
+            check_sigmoid(rng, dtype, (rng.standard_normal((n, c, size, size)) * 4).astype(dtype))
+
+    def test_sigmoid_special_values(self, dtype):
+        special = [0.0, -0.0, 100.0, -100.0, np.inf, -np.inf, 1e-30, -1e-30, 88.0, -88.0, 104.0, -104.0, 750.0, -750.0]
+        rng = np.random.default_rng(0)
+        a = np.concatenate([special, rng.standard_normal(1000) * 30]).astype(dtype)
+        check_sigmoid(rng, dtype, a)
+
+
+def test_conv_output_contiguous_and_bias_grad_order():
+    # the bias gradient sums g over (N, H, W); numpy's pairwise sum adds in
+    # memory order, so a conv output in any other layout (and hence a grad
+    # in that layout) would move the last bits of every bias gradient
+    rng = np.random.default_rng(0)
+    n, c, oc, size = 16, 8, 16, 32
+    conv = Conv2d(c, oc, 3, padding=1, rng=Rng(1))
+    out = conv(Tensor(rng.standard_normal((n, c, size, size)).astype(np.float32)))
+    assert out.data.flags["C_CONTIGUOUS"]
+    g = rng.standard_normal(out.shape).astype(np.float32)
+    out._backward(g)
+    assert_same_bytes(conv.bias.grad, accumulated(g.sum(axis=(0, 2, 3))))
+
+
+def test_pool_nan_window_outputs_nan_and_routes_no_gradient():
+    x = t64(np.array([[[[1.0, np.nan], [3.0, 2.0]]]]))
+    out = MaxPool2d(2)(x)
+    assert np.isnan(out.data).all()
+    out._backward(np.ones_like(out.data))
+    np.testing.assert_array_equal(x.grad, np.zeros((1, 1, 2, 2)))
