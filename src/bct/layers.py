@@ -6,8 +6,12 @@ input (one view per kernel offset, always in (ky, kx) order). Conv2d copies
 the views once into channel-major im2col columns and contracts them with
 BLAS matmuls; MaxPool2d reduces them pairwise with np.maximum and finds the
 gradient routing only when its backward runs. Every scatter-add walks the
-offsets in the same order, so gradients are bit-reproducible, and a full
-training run at desk scale stays in the seconds-to-minutes range.
+offsets in the same order, so gradients are bit-reproducible.
+
+The builders pool before they activate (conv -> max-pool -> activation), so
+the activation and its gradient see a quarter of the elements at pool 2.
+Max-pooling commutes with a monotone non-decreasing map: max(f(a), f(b)) =
+f(max(a, b)). relu is one in floats too; see build_cnn for the sigmoid.
 
 Layout is NCHW. Parameter names inside a layer are "weight" and "bias";
 Model prefixes them with the layer's name ("conv1.weight", ...).
@@ -128,6 +132,8 @@ class Conv2d:
 
 class MaxPool2d:
     """Window max pooling; ties give the gradient to the lowest flat index.
+
+    In the builders it pools the conv's pre-activations, not the activations.
 
     Windows may overlap (stride < window). A window holding a NaN outputs NaN
     but, unlike with an argmax, routes no gradient; train() never gets there,
@@ -362,6 +368,33 @@ class Model:
 _INIT_STREAM = 0x1A7E57  # model-init stream tag, keeps init draws apart from other uses
 
 
+def _conv_net(input_shape, channels, dense_width, num_classes, kernel_size, pool_size, seed, dtype,
+              act: str, pooled: int, conv_prefix: str = "", head_prefix: str = "") -> Model:
+    """conv -> pool -> act blocks (only the first `pooled` pool), then flatten ->
+    dense1 -> relu -> dense2 -> softmax. Init draws run in layer order."""
+    c, h, w = input_shape
+    rng = Rng(derive(seed, _INIT_STREAM))
+    stack = []
+    for i, out_c in enumerate(channels, start=1):
+        conv = Conv2d(c, out_c, kernel_size, stride=1, padding=kernel_size // 2, rng=rng, dtype=dtype)
+        h, w = conv.out_shape(h, w)
+        stack.append((f"{conv_prefix}conv{i}", conv))
+        if i <= pooled:
+            pool = MaxPool2d(pool_size)
+            h, w = pool.out_shape(h, w)
+            stack.append((None, pool))
+        stack.append((None, Activation(act)))
+        c = out_c
+    stack += [
+        (None, Flatten()),
+        (f"{head_prefix}dense1", Dense(c * h * w, dense_width, rng=rng, dtype=dtype)),
+        (None, Activation("relu")),
+        (f"{head_prefix}dense2", Dense(dense_width, num_classes, rng=rng, dtype=dtype)),
+        (None, Activation("softmax")),
+    ]
+    return Model(stack)
+
+
 def build_cnn(
     input_shape: tuple = (3, 64, 64),
     channels: tuple = (8, 16, 32),
@@ -372,34 +405,21 @@ def build_cnn(
     seed: int = 0,
     dtype=np.float32,
 ) -> Model:
-    """Three sigmoid conv+pool blocks, a relu dense layer, and a softmax head.
+    """Three conv -> pool -> sigmoid blocks, a relu dense layer, and a softmax head.
 
     Convs keep spatial size (stride 1, padding kernel//2 for odd kernels);
     each pool divides H and W by pool_size, so both must divide out exactly.
     Weights are Glorot-uniform from the seed, biases zero; the same seed and
     config always produce bit-identical parameters.
+
+    The pool routes the gradient to the largest pre-activation (the first on
+    exact ties), also where two cells' sigmoids round equal. The rounded
+    sigmoid steps down one ulp at about 2e-4 of adjacent float32 pairs (all
+    but 3% below 0); a window whose top two cells are such a pair outputs the
+    lower value.
     """
-    c, h, w = input_shape
-    rng = Rng(derive(seed, _INIT_STREAM))
-    pad = kernel_size // 2
-    stack = []
-    in_c = c
-    for i, out_c in enumerate(channels, start=1):
-        conv = Conv2d(in_c, out_c, kernel_size, stride=1, padding=pad, rng=rng, dtype=dtype)
-        h, w = conv.out_shape(h, w)
-        pool = MaxPool2d(pool_size)
-        stack.append((f"conv{i}", conv))
-        stack.append((None, Activation("sigmoid")))
-        h, w = pool.out_shape(h, w)
-        stack.append((None, pool))
-        in_c = out_c
-    stack.append((None, Flatten()))
-    feat = in_c * h * w
-    stack.append(("dense1", Dense(feat, dense_width, rng=rng, dtype=dtype)))
-    stack.append((None, Activation("relu")))
-    stack.append(("dense2", Dense(dense_width, num_classes, rng=rng, dtype=dtype)))
-    stack.append((None, Activation("softmax")))
-    return Model(stack)
+    return _conv_net(input_shape, channels, dense_width, num_classes, kernel_size, pool_size, seed, dtype,
+                     act="sigmoid", pooled=len(channels))
 
 
 def build_backbone(
@@ -414,29 +434,11 @@ def build_backbone(
 ) -> Model:
     """Deeper relu conv stack for transfer runs, split into backbone.* and head.*.
 
-    The first three conv blocks pool; any further convs keep spatial size.
+    The first three conv blocks run conv -> pool -> relu; any further convs
+    run conv -> relu and keep spatial size. relu commutes with the pool bit
+    for bit, gradients included: a window with max <= 0 passes 0 either way.
     Parameter names partition exactly into backbone.conv*/head.dense* so
     freeze patterns like "backbone.*" address the feature extractor.
     """
-    c, h, w = input_shape
-    rng = Rng(derive(seed, _INIT_STREAM))
-    pad = kernel_size // 2
-    stack = []
-    in_c = c
-    for i, out_c in enumerate(channels, start=1):
-        conv = Conv2d(in_c, out_c, kernel_size, stride=1, padding=pad, rng=rng, dtype=dtype)
-        h, w = conv.out_shape(h, w)
-        stack.append((f"backbone.conv{i}", conv))
-        stack.append((None, Activation("relu")))
-        if i <= 3:
-            pool = MaxPool2d(pool_size)
-            h, w = pool.out_shape(h, w)
-            stack.append((None, pool))
-        in_c = out_c
-    stack.append((None, Flatten()))
-    feat = in_c * h * w
-    stack.append(("head.dense1", Dense(feat, dense_width, rng=rng, dtype=dtype)))
-    stack.append((None, Activation("relu")))
-    stack.append(("head.dense2", Dense(dense_width, num_classes, rng=rng, dtype=dtype)))
-    stack.append((None, Activation("softmax")))
-    return Model(stack)
+    return _conv_net(input_shape, channels, dense_width, num_classes, kernel_size, pool_size, seed, dtype,
+                     act="relu", pooled=3, conv_prefix="backbone.", head_prefix="head.")

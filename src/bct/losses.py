@@ -49,9 +49,9 @@ def _check_batch(scores: Tensor, targets: Tensor, want_binary: bool) -> None:
     if want_binary and c != 2:
         raise ShapeError(f"loss: binary form needs exactly 2 classes, got {c}")
     sd, td = scores.data, targets.data
-    if np.any(sd < 0) or np.any(sd > 1):
+    if not (np.all(sd >= 0) and np.all(sd <= 1)):  # phrased so that NaN fails
         raise DomainError("loss: scores must lie in [0, 1]")
-    if np.abs(sd.sum(axis=1) - 1.0).max() > 1e-5:
+    if not np.abs(sd.sum(axis=1) - 1.0).max() <= 1e-5:
         raise DomainError("loss: each scores row must sum to 1 (within 1e-5)")
     if not (np.all((td == 0) | (td == 1)) and np.all(td.sum(axis=1) == 1)):
         raise DomainError("loss: targets must be one-hot rows")

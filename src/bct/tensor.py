@@ -112,9 +112,10 @@ class Tensor:
     def accumulate_grad(self, g: np.ndarray) -> None:
         if not self.requires_grad:
             return
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+        if self.grad is None:  # 0 + g in one pass: -0.0 -> +0.0, rounds and broadcasts like +=
+            self.grad = np.add(g, 0, out=np.empty_like(self.data))
+        else:
+            self.grad += g
 
     def backward(self) -> None:
         """Reverse pass seeded with d(self)/d(self) = 1. Scalar roots only."""

@@ -311,6 +311,7 @@ def test_metrics_exhaustive_recount():
 # ------------------------------------------------- 6. desk-scale convergence
 
 
+@pytest.mark.slow
 def test_desk_scale_convergence(tmp_path):
     root = tmp_path / "data"
     synth_generate(root, n_per_class=100, seed=0, noise_level=0.1,
@@ -465,6 +466,7 @@ def test_rerun_byte_determinism(tiny_root, tmp_path):
 # ----------------------------------------- 9. minority recall under imbalance
 
 
+@pytest.mark.slow
 def test_minority_recall_under_imbalance(tmp_path_factory):
     """On a 90/10 split with a capacity-starved net, focal recovers minority
     samples that plain bce leaves behind."""

@@ -558,3 +558,100 @@ def test_pool_nan_window_outputs_nan_and_routes_no_gradient():
     assert np.isnan(out.data).all()
     out._backward(np.ones_like(out.data))
     np.testing.assert_array_equal(x.grad, np.zeros((1, 1, 2, 2)))
+
+
+# ---- pool before activating ----
+#
+# The builders emit conv -> max-pool -> activation. The reference below is the
+# earlier order, conv -> activation -> max-pool, built from an identically
+# seeded model by swapping each pool with the activation behind it.
+
+
+def act_then_pool(model):
+    """The same layers in the earlier conv -> activation -> pool order."""
+    layers = list(model.layers)
+    for i in range(len(layers) - 1):
+        if isinstance(layers[i][1], MaxPool2d) and isinstance(layers[i + 1][1], Activation):
+            layers[i], layers[i + 1] = layers[i + 1], layers[i]
+    return Model(layers)
+
+
+def forward_and_grads(model, x, w):
+    """Scores, input gradient and every parameter gradient for loss sum(scores * w)."""
+    xt = Tensor(x, requires_grad=True, dtype=x.dtype)
+    out = model(xt)
+    (out * Tensor(w, dtype=x.dtype)).sum().backward()
+    return [out.data, xt.grad] + [p.grad for p in model.params.values()]
+
+
+def layer_kinds(model):
+    return [type(layer).__name__ for _, layer in model.layers]
+
+
+def test_builders_pool_before_activating():
+    assert layer_kinds(build_cnn())[:3] == ["Conv2d", "MaxPool2d", "Activation"]
+    backbone = layer_kinds(build_backbone())
+    assert backbone[9:11] == ["Conv2d", "Activation"]  # the fourth conv does not pool
+    assert backbone[:9] == ["Conv2d", "MaxPool2d", "Activation"] * 3
+    assert layer_kinds(act_then_pool(build_cnn()))[:3] == ["Conv2d", "Activation", "MaxPool2d"]
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_backbone_matches_act_then_pool_bytes(dtype):
+    # zero and constant blocks make tied windows (exact conv outputs equal to
+    # the bias), and negative biases make whole windows negative
+    rng = np.random.default_rng(5)
+    new, old = build_backbone(seed=3, dtype=dtype), act_then_pool(build_backbone(seed=3, dtype=dtype))
+    biases = {n: rng.standard_normal(p.shape) * 0.1 for n, p in new.params.items() if n.endswith(".bias")}
+    biases["backbone.conv1.bias"][:4] = -0.5
+    for m in (new, old):
+        m.load_state({**m.state(), **biases})
+    x = rng.standard_normal((8, 3, 32, 32))
+    x[:, :, :16, :16] = 0.0
+    x[:, :, 16:, :8] = -1.0
+    x[:2] = 0.0
+    x = x.astype(dtype)
+    w = rng.standard_normal((8, 2)).astype(dtype)
+    got, want = forward_and_grads(new, x, w), forward_and_grads(old, x, w)
+    for a, b in zip(got, want):
+        assert_same_bytes(a, b)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("n", DESK_BATCHES)
+def test_cnn_scores_match_act_then_pool_bytes(dtype, n):
+    new, old = build_cnn(seed=0, dtype=dtype), act_then_pool(build_cnn(seed=0, dtype=dtype))
+    x = Tensor(np.random.default_rng(n).random((n, 3, 64, 64)).astype(dtype), dtype=dtype)
+    assert_same_bytes(new(x).data, old(x).data)
+
+
+def one_window_cnn():
+    """build_cnn whose single block pools one 2x2 window of the raw input."""
+    m = build_cnn(input_shape=(1, 2, 2), channels=(1,), kernel_size=1, dense_width=2)
+    m.load_state({**m.state(), "conv1.weight": np.ones((1, 1, 1, 1)), "conv1.bias": np.zeros(1)})
+    return m
+
+
+def test_sigmoid_gradient_goes_to_larger_preactivation():
+    # 1.0 and the next float32 above it have the same rounded sigmoid
+    a, b = np.float32(1.0), np.nextafter(np.float32(1.0), np.float32(2.0))
+    assert sigmoid(Tensor([a])).data == sigmoid(Tensor([b])).data
+    x = np.array([[[[a, b], [0.5, -1.0]]]], np.float32)
+    w = np.array([[1.0, -1.0]], np.float32)
+    new = forward_and_grads(one_window_cnn(), x, w)[1]
+    old = forward_and_grads(act_then_pool(one_window_cnn()), x, w)[1]
+    assert np.flatnonzero(new).tolist() == [1]  # the larger pre-activation
+    assert np.flatnonzero(old).tolist() == [0]  # the first cell with the top sigmoid
+    assert new[0, 0, 0, 1] == old[0, 0, 0, 0]
+
+
+def test_sigmoid_one_ulp_step_down_is_kept():
+    # a pair of adjacent float32 values below 0 whose rounded sigmoids step
+    # down: pooling first returns the sigmoid of the larger cell, one ulp below
+    a, b = np.float32(-3.999591588973999), np.float32(-3.99959135055542)
+    assert np.nextafter(a, np.float32(0)) == b
+    sa, sb = sigmoid(Tensor([a])).data[0], sigmoid(Tensor([b])).data[0]
+    assert np.nextafter(sa, np.float32(0)) == sb
+    x = Tensor(np.array([[[[a, b], [-5.0, -6.0]]]], np.float32))
+    first_block = [Model(m.layers[:3]) for m in (one_window_cnn(), act_then_pool(one_window_cnn()))]
+    assert [blk(x).data.item() for blk in first_block] == [sb, sa]

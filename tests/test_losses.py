@@ -122,6 +122,13 @@ class TestValidation:
         with pytest.raises(DomainError):
             cross_entropy(s, t)
 
+    @pytest.mark.parametrize("loss", [cross_entropy, binary_cross_entropy, focal_loss])
+    @pytest.mark.parametrize("row", [[np.nan, np.nan], [np.nan, 0.5], [1.0, np.nan]])
+    def test_nan_scores_rejected(self, loss, row):
+        s, t = batch([row, [0.3, 0.7]], [[1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(DomainError):
+            loss(s, t)
+
     def test_targets_must_be_onehot(self):
         s, _ = batch([[0.5, 0.5]], [[1.0, 0.0]])
         bad = Tensor([[0.5, 0.5]], dtype=np.float64)

@@ -108,6 +108,33 @@ class TestForward:
         np.testing.assert_array_equal(b.data, snap_b)
 
 
+class TestFirstGradient:
+    """The first accumulate_grad stores 0 + g, exactly as zeros += g did."""
+
+    def test_negative_zero_becomes_positive_zero(self):
+        t = Tensor(np.ones(3), requires_grad=True)
+        g = np.array([-0.0, 1.5, -0.0], np.float32)
+        t.accumulate_grad(g)
+        assert t.grad.tobytes() == np.array([0.0, 1.5, 0.0], np.float32).tobytes()
+        g[1] = 7.0
+        assert t.grad[1] == 1.5  # a fresh array, not a view of g
+
+    def test_float64_grad_rounds_once_into_float32(self):
+        t = Tensor(np.ones(3), requires_grad=True)
+        g = np.array([1.0 + 2.0**-30, 0.1, -1e-50])
+        t.accumulate_grad(g)
+        assert t.grad.dtype == np.float32
+        assert t.grad.tobytes() == g.astype(np.float32).tobytes()
+
+    def test_broadcast_grad_expands(self):
+        t = Tensor(np.ones((2, 3)), requires_grad=True)
+        t.accumulate_grad(np.array([1.0, -0.0, 3.0], np.float32))
+        assert t.grad.tobytes() == np.array([[1.0, 0.0, 3.0]] * 2, np.float32).tobytes()
+        s = Tensor(np.ones((2, 2)), requires_grad=True)
+        s.accumulate_grad(np.float32(2.5))
+        np.testing.assert_array_equal(s.grad, np.full((2, 2), 2.5, np.float32))
+
+
 class TestBackward:
     def test_simple_chain(self, f64):
         x = f64([3.0])
