@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .checkpoint import CheckpointError, load_checkpoint, read_checkpoint
 from .config import KEYS, build_config
-from .data import ensure_manifest, load_manifest, load_split, read_ppm, synth_generate
+from .data import load_manifest, load_split, read_ppm, synth_generate
 from .errors import ConfigError, DataError, NumericError
 from .svgchart import line_chart
 from .trainer import build_model, evaluate, run_ablation, train
@@ -132,14 +132,7 @@ def cmd_evaluate(args) -> int:
         raise ConfigError("evaluate needs data.root")
     model = build_model(config)
     load_checkpoint(model, args.checkpoint)
-    manifest = ensure_manifest(
-        config.data_root,
-        image_size=config.image_size,
-        ratios=tuple(config.ratios),
-        seed=config.split_seed(),
-        resplit=config.data_seed is not None,
-    )
-    samples = load_split(manifest, args.split)
+    samples = load_split(config.manifest(), args.split)
     if not samples:
         raise DataError(f"{config.data_root}: split {args.split!r} is empty")
     counts, report = evaluate(model, samples)

@@ -13,6 +13,7 @@ import difflib
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .data import DatasetManifest, ensure_manifest
 from .errors import ConfigError
 from .losses import LossSpec
 from .optim import OptimizerConfig
@@ -91,6 +92,11 @@ class TrainConfig:
 
     def split_seed(self) -> int:
         return self.seed if self.data_seed is None else self.data_seed
+
+    def manifest(self, root=None) -> DatasetManifest:
+        """The pinned split of root (default data.root) for this config; see ensure_manifest."""
+        return ensure_manifest(root or self.data_root, self.image_size, tuple(self.ratios), self.split_seed(),
+                               resplit=self.data_seed is not None)
 
 
 # ---------------------------------------------------------------- registry

@@ -20,7 +20,7 @@ Model prefixes them with the layer's name ("conv1.weight", ...).
 import numpy as np
 
 from .rng import Rng, derive
-from .tensor import DomainError, ShapeError, Tensor
+from .tensor import ShapeError, Tensor
 
 
 def glorot_uniform(rng: Rng, shape: tuple, fan_in: int, fan_out: int, dtype) -> np.ndarray:
@@ -28,6 +28,21 @@ def glorot_uniform(rng: Rng, shape: tuple, fan_in: int, fan_out: int, dtype) -> 
     limit = float(np.sqrt(6.0 / (fan_in + fan_out)))
     n = int(np.prod(shape))
     return rng.uniform(n, -limit, limit).reshape(shape).astype(dtype)
+
+
+def _weight_and_bias(kind: str, wshape: tuple, weight, bias, rng: Rng | None, dtype) -> tuple[Tensor, Tensor]:
+    """A layer's weight (Glorot-uniform from rng unless given) and bias (zeros unless given)."""
+    if weight is None:
+        if rng is None:
+            raise ValueError(f"{kind}: pass an explicit weight or an init rng")
+        receptive = int(np.prod(wshape[2:]))
+        weight = glorot_uniform(rng, wshape, wshape[1] * receptive, wshape[0] * receptive, dtype)
+    weight = np.asarray(weight, dtype=dtype)
+    bias = np.zeros(wshape[0], dtype=dtype) if bias is None else np.asarray(bias, dtype=dtype)
+    for name, arr, shape in (("weight", weight, wshape), ("bias", bias, wshape[:1])):
+        if arr.shape != shape:
+            raise ShapeError(f"{kind}: {name} shape {arr.shape} != {shape}")
+    return Tensor(weight, requires_grad=True, dtype=dtype), Tensor(bias, requires_grad=True, dtype=dtype)
 
 
 def _windows(k: int, s: int, ho: int, wo: int) -> list:
@@ -62,19 +77,7 @@ class Conv2d:
         self.stride = stride
         self.padding = padding
         wshape = (out_channels, in_channels, kernel_size, kernel_size)
-        if weight is None:
-            if rng is None:
-                raise ValueError("conv: pass an explicit weight or an init rng")
-            fan = in_channels * kernel_size * kernel_size, out_channels * kernel_size * kernel_size
-            weight = glorot_uniform(rng, wshape, fan[0], fan[1], dtype)
-        weight = np.asarray(weight, dtype=dtype)
-        if weight.shape != wshape:
-            raise ShapeError(f"conv: weight shape {weight.shape} != {wshape}")
-        bias = np.zeros(out_channels, dtype=dtype) if bias is None else np.asarray(bias, dtype=dtype)
-        if bias.shape != (out_channels,):
-            raise ShapeError(f"conv: bias shape {bias.shape} != ({out_channels},)")
-        self.weight = Tensor(weight, requires_grad=True, dtype=dtype)
-        self.bias = Tensor(bias, requires_grad=True, dtype=dtype)
+        self.weight, self.bias = _weight_and_bias("conv", wshape, weight, bias, rng, dtype)
 
     def params(self):
         return {"weight": self.weight, "bias": self.bias}
@@ -135,11 +138,14 @@ class MaxPool2d:
 
     In the builders it pools the conv's pre-activations, not the activations.
 
-    Windows may overlap (stride < window). A window holding a NaN outputs NaN
-    but, unlike with an argmax, routes no gradient; train() never gets there,
-    as it raises NumericError on the non-finite loss before backward(). A
-    non-finite upstream gradient also reaches the window's other cells, as
-    NaN (inf * 0).
+    When stride equals window, as in the builders, the windows tile the input
+    and the backward writes each cell of an empty dx once, as g * hit
+    (accumulate_grad turns -0.0 into +0.0); otherwise windows may overlap or
+    leave gaps, and each adds into a zeroed dx. A window holding a NaN
+    outputs NaN but, unlike with an argmax, routes no gradient; train() never
+    gets there, as it raises NumericError on the non-finite loss before
+    backward(). A non-finite upstream gradient also reaches the window's
+    other cells, as NaN (inf * 0).
     """
 
     def __init__(self, window: int = 2, stride: int | None = None):
@@ -176,12 +182,16 @@ class MaxPool2d:
             np.maximum(a[v], out, out=out)  # on a tie numpy returns the second operand
 
         def backward(g):
-            dx = np.zeros_like(a)
+            tiled = s == k  # the windows tile a: each cell is written exactly once
+            dx = np.empty_like(a) if tiled else np.zeros_like(a)
             free = np.ones(out.shape, bool)
             for v in win:
                 hit = (a[v] == out) & free
                 free ^= hit
-                np.add(dx[v], g * hit, out=dx[v])
+                if tiled:
+                    np.multiply(g, hit, out=dx[v])
+                else:
+                    np.add(dx[v], g * hit, out=dx[v])
             x.accumulate_grad(dx)
 
         return Tensor.from_op(out, (x,), backward)
@@ -220,18 +230,7 @@ class Dense:
             raise ValueError("dense: feature counts must be >= 1")
         self.in_features = in_features
         self.out_features = out_features
-        if weight is None:
-            if rng is None:
-                raise ValueError("dense: pass an explicit weight or an init rng")
-            weight = glorot_uniform(rng, (out_features, in_features), in_features, out_features, dtype)
-        weight = np.asarray(weight, dtype=dtype)
-        if weight.shape != (out_features, in_features):
-            raise ShapeError(f"dense: weight shape {weight.shape} != {(out_features, in_features)}")
-        bias = np.zeros(out_features, dtype=dtype) if bias is None else np.asarray(bias, dtype=dtype)
-        if bias.shape != (out_features,):
-            raise ShapeError(f"dense: bias shape {bias.shape} != ({out_features},)")
-        self.weight = Tensor(weight, requires_grad=True, dtype=dtype)
-        self.bias = Tensor(bias, requires_grad=True, dtype=dtype)
+        self.weight, self.bias = _weight_and_bias("dense", (out_features, in_features), weight, bias, rng, dtype)
 
     def params(self):
         return {"weight": self.weight, "bias": self.bias}

@@ -1,12 +1,14 @@
 """Classification losses over softmax scores and one-hot targets.
 
-All three losses share one summation skeleton: elementwise t * log(s) summed
-over classes, negated, then reduced over the batch. Scores are clamped to
-[1e-12, 1] before the log so certain-wrong predictions yield a large finite
-penalty instead of an overflow. The focal loss weights each term by
-(1 - s)^gamma using the raw scores; gamma = 0 skips the weighting entirely
-and therefore computes bit-for-bit the same value and gradient as binary
-cross-entropy.
+cross_entropy, binary_cross_entropy and focal_loss are three names for one
+kernel that records one tape node: -sum t * log(clamp(s, 1e-12, 1)) over
+classes and batch, over N for the mean; the clamp keeps a certain-wrong
+score's penalty finite. focal_loss (Lin et al. 2017, arXiv:1708.02002)
+weights each term by (1 - s)^gamma; gamma = 0 skips that, giving binary
+cross-entropy bit for bit. The kernel replays the ufuncs and first-gradient
+writes of the Tensor-op chain clamp, log, mul, [pow, mul,] sum, neg, div, so
+its bytes are the chain's, but where s == 1 the (1 - s)^gamma path adds 0
+(its limit) where the chain gave NaN for 0 < gamma < 1.
 """
 
 from dataclasses import dataclass
@@ -49,61 +51,71 @@ def _check_batch(scores: Tensor, targets: Tensor, want_binary: bool) -> None:
     if want_binary and c != 2:
         raise ShapeError(f"loss: binary form needs exactly 2 classes, got {c}")
     sd, td = scores.data, targets.data
-    if not (np.all(sd >= 0) and np.all(sd <= 1)):  # phrased so that NaN fails
+    if not (sd.min() >= 0 and sd.max() <= 1):  # phrased so that NaN fails
         raise DomainError("loss: scores must lie in [0, 1]")
-    if not np.abs(sd.sum(axis=1) - 1.0).max() <= 1e-5:
+    if not abs(sd.sum(axis=1) - 1.0).max() <= 1e-5:
         raise DomainError("loss: each scores row must sum to 1 (within 1e-5)")
-    if not (np.all((td == 0) | (td == 1)) and np.all(td.sum(axis=1) == 1)):
+    if not (((td == 0) | (td == 1)).all() and (td.sum(axis=1) == 1).all()):
         raise DomainError("loss: targets must be one-hot rows")
+    if targets.dtype != scores.dtype:
+        raise TypeError(f"loss: mixed dtypes {scores.dtype.name} vs {targets.dtype.name}")
 
 
-def _reduce(total: Tensor, n: int, reduction: str) -> Tensor:
-    if reduction == "mean":
-        return total / float(n)
-    return total
+def _first(x, like):
+    """What a tape node's first gradient write stores: x + 0, in like's dtype and shape."""
+    return np.add(x, 0, out=np.empty_like(like))
+
+
+def _loss(scores: Tensor, targets: Tensor, reduction: str, gamma: float = 0.0, want_binary: bool = True) -> Tensor:
+    """-sum t * log(clamp(s)) [* (1 - s)^gamma], divided by N for "mean", as one tape node."""
+    _check_batch(scores, targets, want_binary)
+    n, dt, a, t = scores.shape[0], scores.dtype.type, scores.data, targets.data
+    c = np.clip(a, dt(SCORE_FLOOR), dt(1.0))
+    logs = np.log(c)
+    w = tlog = t * logs
+    if gamma != 0:
+        om = dt(1.0) - a
+        pw = om ** dt(gamma)
+        w = pw * tlog
+    total = -w.sum()
+    out = total / dt(n) if reduction == "mean" else total
+
+    def backward(g):
+        if reduction == "mean":
+            g = _first(g / dt(n), total)
+        g = _first(_first(-g, total), w)  # np.add broadcasts the scalar, as sum's backward did
+        if gamma != 0:
+            gp, g = _first(g * tlog, pw), _first(g * pw, tlog)
+        gc = _first(_first(g * t, logs) / c, c)
+        scores.accumulate_grad(gc * ((a >= SCORE_FLOOR) & (a <= 1.0)))  # clamp path first
+        if gamma != 0:
+            with np.errstate(divide="ignore"):  # 0 ** (gamma - 1) for gamma < 1, zeroed next
+                dpow = om ** dt(gamma - 1.0)
+            dpow[om == 0] = 0
+            scores.accumulate_grad(-_first(gp * dt(gamma) * dpow, om))
+
+    return Tensor.from_op(out, (scores,), backward)
 
 
 def cross_entropy(scores: Tensor, targets: Tensor, reduction: str = "mean") -> Tensor:
-    """-sum_i t_i log(s_i) per sample, reduced over the batch."""
-    _check_batch(scores, targets, want_binary=False)
-    logs = scores.clamp(SCORE_FLOOR, 1.0).log()
-    total = -((targets * logs).sum())
-    return _reduce(total, scores.shape[0], reduction)
+    """-sum_i t_i log(s_i) per sample, reduced over the batch; any class count >= 2."""
+    return _loss(scores, targets, reduction, want_binary=False)
 
 
 def binary_cross_entropy(scores: Tensor, targets: Tensor, reduction: str = "mean") -> Tensor:
-    """Two-class cross-entropy, summed over both class columns.
-
-    With one-hot targets this equals -t log(s) - (1 - t) log(1 - s) written
-    in terms of the positive-class column, since the columns are complements.
-    """
-    _check_batch(scores, targets, want_binary=True)
-    logs = scores.clamp(SCORE_FLOOR, 1.0).log()
-    total = -((targets * logs).sum())
-    return _reduce(total, scores.shape[0], reduction)
+    """Two-class cross-entropy: with one-hot rows, -t log(s) - (1 - t) log(1 - s)."""
+    return _loss(scores, targets, reduction)
 
 
 def focal_loss(scores: Tensor, targets: Tensor, gamma: float = 2.0, reduction: str = "mean") -> Tensor:
-    """Cross-entropy with each term down-weighted by (1 - s)^gamma.
-
-    Well-classified samples (s near 1) contribute vanishingly, which shifts
-    training pressure onto hard or minority samples. gamma = 0 is exactly
-    binary cross-entropy: the weighting is skipped, not multiplied by 1, so
-    the computation graph is identical.
-    """
+    """Cross-entropy with each term down-weighted by (1 - s)^gamma, to favour hard samples."""
     if not gamma >= 0:
         raise ValueError(f"focal gamma must be >= 0, got {gamma}")
-    _check_batch(scores, targets, want_binary=True)
-    logs = scores.clamp(SCORE_FLOOR, 1.0).log()
-    weighted = targets * logs
-    if gamma != 0:
-        weighted = (1.0 - scores) ** gamma * weighted
-    total = -(weighted.sum())
-    return _reduce(total, scores.shape[0], reduction)
+    return _loss(scores, targets, reduction, gamma)
 
 
 def make_loss(spec: LossSpec):
-    """Bind a LossSpec into a loss_fn(scores, targets) -> scalar Tensor."""
+    """Bind a LossSpec into loss_fn(scores, targets), which looks the loss up by name per call."""
     spec.validate()
     if spec.kind == "cross_entropy":
         return lambda s, t: cross_entropy(s, t, reduction=spec.reduction)

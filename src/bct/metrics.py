@@ -5,7 +5,9 @@ reported as 0.0 and flagged by name in MetricReport.degenerate rather than
 raising, so callers can render honest tables for degenerate predictors.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -40,26 +42,26 @@ class MetricReport:
         }
 
 
+_CELLS = ("tn", "fp", "fn", "tp")  # the count a (predicted, actual) pair adds to, at 2 * actual + predicted
+
+
 def accumulate(counts: ConfusionCounts, predicted: int, actual: int) -> ConfusionCounts:
     """Fold one (predicted, actual) pair into the counts; classes are 0/1."""
     if predicted not in (0, 1) or actual not in (0, 1):
         raise ValueError(f"class labels must be 0 or 1, got predicted={predicted} actual={actual}")
-    if actual == 1:
-        if predicted == 1:
-            return ConfusionCounts(counts.tp + 1, counts.tn, counts.fp, counts.fn)
-        return ConfusionCounts(counts.tp, counts.tn, counts.fp, counts.fn + 1)
-    if predicted == 1:
-        return ConfusionCounts(counts.tp, counts.tn, counts.fp + 1, counts.fn)
-    return ConfusionCounts(counts.tp, counts.tn + 1, counts.fp, counts.fn)
+    cell = _CELLS[2 * int(actual) + int(predicted)]
+    return replace(counts, **{cell: getattr(counts, cell) + 1})
 
 
 def count_batch(counts: ConfusionCounts, predicted, actual) -> ConfusionCounts:
-    """Accumulate aligned sequences of predictions and labels."""
+    """Accumulate aligned sequences of predictions and labels, each label cast by int()."""
     if len(predicted) != len(actual):
         raise ValueError(f"prediction/label length mismatch: {len(predicted)} vs {len(actual)}")
-    for p, a in zip(predicted, actual):
-        counts = accumulate(counts, int(p), int(a))
-    return counts
+    p, a = np.asarray(predicted).astype(np.int64), np.asarray(actual).astype(np.int64)
+    for i in np.flatnonzero((p < 0) | (p > 1) | (a < 0) | (a > 1))[:1]:
+        accumulate(counts, predicted[i], actual[i])  # raises, naming the first bad pair
+    added = np.bincount(2 * a + p, minlength=4)
+    return replace(counts, **{cell: getattr(counts, cell) + int(k) for cell, k in zip(_CELLS, added)})
 
 
 def compute_metrics(counts: ConfusionCounts, epochs_to_converge: int | None = None) -> MetricReport:

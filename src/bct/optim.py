@@ -1,19 +1,21 @@
 """Parameter update rules: SGD with momentum, Adam, and rectified Adam.
 
-One Optimizer instance owns the moment buffers for a fixed parameter
-registry, updates parameters in place in registry order, and skips any
-parameter whose name is currently frozen (its value AND its moments stay
-untouched, so freezing is fully reversible). The step counter t advances
-once per step() call regardless of freezing.
-
-All update arithmetic runs in the parameter's own dtype; the scalar factors
-(bias corrections, the rectification multiplier) are computed in float64.
+An Optimizer keeps its registry in a flat store, one contiguous buffer each
+for parameters, gradients and moments; the registry's tensors, their first
+gradients and the m/v dicts are views into it. step() runs each rule's
+ufuncs once per contiguous run of unfrozen parameters (one run in every
+paradigm), per element the same ufuncs as a per-tensor loop, in the
+registry's one dtype; the scalar factors are float64. A frozen parameter's
+value AND moments stay untouched, so freezing is fully reversible; the step
+counter t advances once per step() call regardless of freezing.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericError
 from .tensor import Tensor
 
 _KINDS = ("sgd", "adam", "rectadam")
@@ -68,21 +70,33 @@ def rectification_term(t: int, beta2: float) -> tuple[float, float | None]:
 
 
 class Optimizer:
-    """Stateful updater for a named parameter registry."""
+    """Stateful updater for a named parameter registry; it moves the registry's data into its store."""
 
     def __init__(self, params: dict[str, Tensor], config: OptimizerConfig):
         config.validate()
         if not params:
             raise ValueError("optimizer needs at least one parameter")
+        dtypes = sorted({p.dtype.name for p in params.values()})
+        if len(dtypes) > 1:
+            raise ValueError(f"optimizer registry mixes dtypes {dtypes}")
         self.config = config
         self.params = dict(params)
         self.t = 0
+        ends = itertools.accumulate(p.size for p in self.params.values())
+        self.spans = {name: slice(end - p.size, end) for (name, p), end in zip(self.params.items(), ends)}
+        self.flat_data = np.concatenate([p.data.reshape(-1) for p in self.params.values()])
+        self.flat_grad, self.flat_m = np.empty_like(self.flat_data), np.zeros_like(self.flat_data)
+        self.flat_v = None if config.kind == "sgd" else np.zeros_like(self.flat_data)
+        data, grads = self._views(self.flat_data), self._views(self.flat_grad)
+        for name, p in self.params.items():
+            p.data, p.grad_view = data[name], grads[name]
+        self.m = self._views(self.flat_m)
+        self.v = {} if self.flat_v is None else self._views(self.flat_v)
         self.frozen: frozenset[str] = frozenset()
-        self.m = {name: np.zeros_like(p.data) for name, p in self.params.items()}
-        if config.kind in ("adam", "rectadam"):
-            self.v = {name: np.zeros_like(p.data) for name, p in self.params.items()}
-        else:
-            self.v = {}
+        self.runs = [slice(0, self.flat_data.size)]  # store slices of the trainable params, runs merged
+
+    def _views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        return {name: flat[span].reshape(self.params[name].shape) for name, span in self.spans.items()}
 
     def set_freeze(self, names) -> None:
         """Replace the frozen set; every name must exist in the registry."""
@@ -91,6 +105,12 @@ class Optimizer:
         if unknown:
             raise KeyError(f"cannot freeze unknown parameters: {unknown}")
         self.frozen = names
+        self.runs = []
+        for name in self.trainable_names():
+            span = self.spans[name]
+            if self.runs and self.runs[-1].stop == span.start:
+                span = slice(self.runs.pop().start, span.stop)
+            self.runs.append(span)
 
     def trainable_names(self) -> list[str]:
         return [n for n in self.params if n not in self.frozen]
@@ -100,53 +120,35 @@ class Optimizer:
             p.grad = None
 
     def step(self) -> None:
-        """Apply one update to every unfrozen parameter, in registry order."""
-        self.t += 1
-        kind = self.config.kind
-        lr = self.config.resolved_lr()
-        if kind == "sgd":
-            self._step_sgd(lr)
-        elif kind == "adam":
-            self._step_adam(lr, rectified=False)
-        else:
-            self._step_adam(lr, rectified=True)
-
-    def _live_params(self):
-        for name, p in self.params.items():
-            if name in self.frozen:
-                continue
+        """Update the unfrozen runs of the store; a bad gradient changes nothing, t included."""
+        for name in self.trainable_names():
+            p = self.params[name]
             if p.grad is None:
                 raise ValueError(f"optimizer step: parameter {name!r} has no gradient")
-            yield name, p
-
-    def _step_sgd(self, lr: float) -> None:
-        mom = self.config.momentum
-        for name, p in self._live_params():
-            m = self.m[name]
-            m *= p.data.dtype.type(mom)
-            m += p.grad
-            p.data -= p.data.dtype.type(lr) * m
-
-    def _step_adam(self, lr: float, rectified: bool) -> None:
-        cfg = self.config
-        b1, b2, eps = cfg.beta1, cfg.beta2, cfg.epsilon
-        bc1 = 1.0 - b1 ** self.t
-        bc2 = 1.0 - b2 ** self.t
-        if rectified:
-            _, r_t = rectification_term(self.t, b2)
-        for name, p in self._live_params():
-            dt = p.data.dtype.type
-            g = p.grad
-            m, v = self.m[name], self.v[name]
+            if p.grad is not p.grad_view:  # assigned by the caller, not written by backward()
+                p.grad_view[...] = p.grad
+        if not all(np.isfinite(self.flat_grad[run]).all() for run in self.runs):
+            bad = [n for n in self.trainable_names() if not np.isfinite(self.params[n].grad_view).all()]
+            raise NumericError(f"non-finite gradient in parameter {bad[0]!r}")
+        self.t += 1
+        cfg, dt = self.config, self.flat_data.dtype.type
+        lr, b1, b2, eps = cfg.resolved_lr(), cfg.beta1, cfg.beta2, cfg.epsilon
+        bc1, bc2 = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
+        r_t = rectification_term(self.t, b2)[1] if cfg.kind == "rectadam" else 1.0
+        for run in self.runs:
+            w, g, m = self.flat_data[run], self.flat_grad[run], self.flat_m[run]
+            if cfg.kind == "sgd":
+                m *= dt(cfg.momentum)
+                m += g
+                w -= dt(lr) * m
+                continue
+            v = self.flat_v[run]
             m *= dt(b1)
             m += dt(1.0 - b1) * g
             v *= dt(b2)
             v += dt(1.0 - b2) * g * g
             m_hat = m / dt(bc1)
-            if not rectified:
-                p.data -= dt(lr) * m_hat / (np.sqrt(v / dt(bc2)) + dt(eps))
-            elif r_t is None:
-                # variance still untrustworthy: plain bias-corrected momentum step
-                p.data -= dt(lr) * m_hat
+            if r_t is None:  # variance still untrustworthy: plain bias-corrected momentum step
+                w -= dt(lr) * m_hat
             else:
-                p.data -= dt(lr * r_t) * m_hat / (np.sqrt(v / dt(bc2)) + dt(eps))
+                w -= dt(lr * r_t) * m_hat / (np.sqrt(v / dt(bc2)) + dt(eps))

@@ -12,6 +12,8 @@ Conventions fixed here and relied on throughout the package:
     take the first argument
   * clamp passes gradient through at the boundaries (mask includes equality)
   * forward ops never mutate their inputs
+  * tensors own their storage, except the parameters of an Optimizer's
+    registry: their data and first gradient are views into its flat buffers
 """
 
 import contextlib
@@ -50,13 +52,13 @@ def _as_float_dtype(dtype):
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "grad", "grad_view", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         dt = _as_float_dtype(np.float32 if dtype is None else dtype)
         self.data = np.array(data, dtype=dt)  # always copies: tensors own their storage
         self.requires_grad = bool(requires_grad)
-        self.grad = None
+        self.grad = self.grad_view = None  # an Optimizer sets grad_view: where the first gradient lands
         self._parents = ()
         self._backward = None
 
@@ -65,7 +67,7 @@ class Tensor:
         """Build a non-leaf tensor. `backward(g)` must accumulate into parents."""
         out = cls.__new__(cls)
         out.data = data
-        out.grad = None
+        out.grad = out.grad_view = None
         if _grad_enabled and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
@@ -99,10 +101,6 @@ class Tensor:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        """A new leaf sharing no graph history (data is copied)."""
-        return Tensor(self.data, requires_grad=False, dtype=self.dtype)
-
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}{flag})"
@@ -113,7 +111,7 @@ class Tensor:
         if not self.requires_grad:
             return
         if self.grad is None:  # 0 + g in one pass: -0.0 -> +0.0, rounds and broadcasts like +=
-            self.grad = np.add(g, 0, out=np.empty_like(self.data))
+            self.grad = np.add(g, 0, out=np.empty_like(self.data) if self.grad_view is None else self.grad_view)
         else:
             self.grad += g
 

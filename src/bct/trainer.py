@@ -18,18 +18,16 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import config as config_mod
 from .checkpoint import load_subset, save_checkpoint
 from .config import TrainConfig
-from .data import ensure_manifest, load_split, make_batches, stack_batch
+from .data import load_split, make_batches, stack_batch
 from .errors import ConfigError, DataError, NumericError
 from .layers import Model, build_backbone, build_cnn
 from .losses import make_loss
 from .metrics import ConfusionCounts, MetricReport, compute_metrics, count_batch
 from .optim import Optimizer
-from .staging import StagedDriver, StageTransition, make_paradigm, pretrain_source
+from .staging import StagedDriver, make_paradigm, pretrain_source
 from .tensor import no_grad
 
 
@@ -125,13 +123,7 @@ def train(config: TrainConfig, echo: dict | None = None, progress=None) -> RunLo
     if not config.data_root:
         raise ConfigError("data.root is required for training")
 
-    manifest = ensure_manifest(
-        config.data_root,
-        image_size=config.image_size,
-        ratios=tuple(config.ratios),
-        seed=config.split_seed(),
-        resplit=config.data_seed is not None,
-    )
+    manifest = config.manifest()
     train_samples = load_split(manifest, "train")
     val_samples = load_split(manifest, "val")
     test_samples = load_split(manifest, "test")
@@ -161,7 +153,10 @@ def train(config: TrainConfig, echo: dict | None = None, progress=None) -> RunLo
                 raise NumericError(f"non-finite training loss {value} at epoch {epoch}, batch {bi}")
             optimizer.zero_grad()
             loss.backward()
-            optimizer.step()
+            try:
+                optimizer.step()
+            except NumericError as e:
+                raise NumericError(f"{e} at epoch {epoch}, batch {bi}") from e
 
         train_loss, train_counts = eval_split(model, train_samples, eval_loss_fn)
         train_acc = (train_counts.tp + train_counts.tn) / train_counts.total
@@ -447,8 +442,7 @@ def run_ablation(suite: str, base: TrainConfig, seeds, out_dir, jobs: int = 1) -
     # create it and the result can't depend on which seed ran first
     roots = [base.data_root, base.source_root] if suite == "paradigm" else [base.data_root]
     for root in roots:
-        ensure_manifest(root, base.image_size, tuple(base.ratios), base.split_seed(),
-                        resplit=base.data_seed is not None)
+        base.manifest(root)
 
     if jobs == 1:
         for job in pretrain_jobs:

@@ -560,6 +560,26 @@ def test_pool_nan_window_outputs_nan_and_routes_no_gradient():
     np.testing.assert_array_equal(x.grad, np.zeros((1, 1, 2, 2)))
 
 
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("k, stride", [(2, 2), (3, 3), (2, 3), (3, 2)])
+def test_pool_backward_into_an_existing_gradient(dtype, k, stride):
+    # fan-out: x already holds a gradient when the pool's backward adds to it.
+    # With stride == window, dx is written once as g * hit, so it holds -0.0
+    # where the zero-filled loop held +0.0; the sum must not see the difference.
+    rng = np.random.default_rng(10 * k + stride)
+    size = k + 4 * stride
+    x = (np.round(rng.standard_normal((3, 2, size, size)) * 1.5) / 2).astype(dtype)
+    xt = Tensor(x, requires_grad=True, dtype=dtype)
+    prev = with_negative_zeros(rng, np.round(rng.standard_normal(x.shape)).astype(dtype))
+    xt.accumulate_grad(prev)
+    out = MaxPool2d(k, stride)(xt)
+    g = with_negative_zeros(rng, rng.standard_normal(out.shape).astype(dtype))
+    out._backward(g)
+    want = accumulated(prev)
+    want += ref_pool(x, k, stride, g)[1]
+    assert_same_bytes(xt.grad, want)
+
+
 # ---- pool before activating ----
 #
 # The builders emit conv -> max-pool -> activation. The reference below is the

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bct.losses import (
+    SCORE_FLOOR,
     LossSpec,
     binary_cross_entropy,
     cross_entropy,
@@ -10,7 +13,7 @@ from bct.losses import (
 )
 from bct.layers import softmax
 from bct.rng import Rng
-from bct.tensor import DomainError, ShapeError, Tensor
+from bct.tensor import DomainError, ShapeError, Tape, Tensor
 
 from conftest import check_gradients
 
@@ -192,3 +195,117 @@ class TestLossGradients:
         check_gradients(
             lambda: cross_entropy(softmax(logits), targets, reduction="sum"), [logits]
         )
+
+
+# ---- the one loss kernel against the composed Tensor-op chain it replaces
+
+
+def chain_loss(scores, targets, gamma=0.0, reduction="mean"):
+    """The losses as they were composed from Tensor ops, one tape node per op."""
+    logs = scores.clamp(SCORE_FLOOR, 1.0).log()
+    weighted = targets * logs
+    if gamma != 0:
+        weighted = (1.0 - scores) ** gamma * weighted
+    total = -(weighted.sum())
+    return total / float(scores.shape[0]) if reduction == "mean" else total
+
+
+def kernel_loss(scores, targets, gamma, reduction):
+    return focal_loss(scores, targets, gamma=gamma, reduction=reduction)
+
+
+def value_and_grad(fn, rows, labels, dtype, gamma, reduction, preset=None):
+    s = Tensor(np.asarray(rows, dtype), requires_grad=True, dtype=dtype)
+    t = Tensor(np.eye(2, dtype=dtype)[labels], dtype=dtype)
+    if preset is not None:  # scores already hold a gradient, say from a second consumer
+        s.grad = np.full(s.shape, preset, dtype)
+    loss = fn(s, t, gamma, reduction)
+    loss.backward()
+    return np.asarray(loss.data), s.grad
+
+
+# near the score floor, at it, below it, and ordinary values
+_FIRST = st.one_of(
+    st.sampled_from([0.0, 1e-13, SCORE_FLOOR, 2e-12, 1e-9, 1e-6, 0.5]),
+    st.floats(1e-6, 1.0 - 1e-3),
+)
+
+
+@st.composite
+def score_rows(draw, saturated):
+    """(rows, labels) of 2-class scores; with saturated=False no score is 1.
+
+    A row's second score is 1 - p, held at most 1 - 4e-6 when unsaturated, so
+    the row still sums to 1 within the loss's 1e-5 tolerance.
+    """
+    n = draw(st.integers(1, 6))
+    rows = []
+    for _ in range(n):
+        p = draw(_FIRST)
+        q = 1.0 - p if saturated else min(1.0 - p, 1.0 - 4e-6)
+        rows.append([p, q] if draw(st.booleans()) else [q, p])
+    if saturated:
+        rows[draw(st.integers(0, n - 1))] = draw(st.sampled_from([[1.0, 0.0], [0.0, 1.0]]))
+    return rows, draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+
+
+GAMMAS = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]), st.floats(0.0, 3.0))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("reduction", ["mean", "sum"])
+class TestLossKernelProperties:
+    @settings(max_examples=120, deadline=None)
+    @given(case=score_rows(saturated=False), gamma=GAMMAS, preset=st.sampled_from([None, -0.0, 0.0, 0.25]))
+    def test_bytes_equal_the_composed_chain(self, dtype, reduction, case, gamma, preset):
+        rows, labels = case
+        got = value_and_grad(kernel_loss, rows, labels, dtype, gamma, reduction, preset)
+        want = value_and_grad(chain_loss, rows, labels, dtype, gamma, reduction, preset)
+        assert np.isfinite(want[1]).all()
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes(), (g, w)
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=score_rows(saturated=True), gamma=GAMMAS)
+    def test_saturated_scores_give_finite_gradients(self, dtype, reduction, case, gamma):
+        rows, labels = case
+        value, grad = value_and_grad(kernel_loss, rows, labels, dtype, gamma, reduction)
+        assert np.isfinite(value) and np.isfinite(grad).all()
+        # with gamma > 0 (in the dtype), a row whose true class scores 1 passes no gradient
+        for row, label, g in zip(rows, labels, grad):
+            if dtype(gamma) > 0 and row[label] == 1.0:
+                assert (g == 0).all() and not np.signbit(g).any()
+
+
+@pytest.mark.parametrize("first", [[1.0, 0.0], [0.0, 1.0]])
+def test_focal_saturation_gradient_is_finite(first):
+    # the composed chain gave loss 0.0977 and a NaN gradient (0 * 0 ** -0.5)
+    rows = [first, [0.3, 0.7]]
+    s = Tensor(rows, requires_grad=True, dtype=np.float64)
+    t = Tensor([first, [0.0, 1.0]], dtype=np.float64)
+    loss = focal_loss(s, t, gamma=0.5)
+    assert loss.item() == pytest.approx(0.0977, abs=5e-5)
+    loss.backward()
+    assert np.isfinite(s.grad).all()
+    assert (s.grad[0] == 0).all()
+    s2 = Tensor(rows, requires_grad=True, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        chain_loss(s2, t, gamma=0.5).backward()
+    assert np.isnan(s2.grad[0]).any()
+    np.testing.assert_array_equal(s.grad[1], s2.grad[1])
+
+
+def test_loss_is_one_tape_node():
+    s = Tensor([[0.2, 0.8], [0.6, 0.4]], requires_grad=True, dtype=np.float64)
+    t = Tensor([[1.0, 0.0], [0.0, 1.0]], dtype=np.float64)
+    for loss in (cross_entropy(s, t), binary_cross_entropy(s, t), focal_loss(s, t, gamma=2.0)):
+        assert loss._parents == (s,)
+        assert Tape.from_root(loss).nodes == [s, loss]
+
+
+def test_mixed_dtypes_rejected():
+    s = Tensor([[0.5, 0.5]], dtype=np.float32)
+    t = Tensor([[1.0, 0.0]], dtype=np.float64)
+    with pytest.raises(TypeError):
+        cross_entropy(s, t)

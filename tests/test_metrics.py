@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from bct.metrics import ConfusionCounts, accumulate, compute_metrics, count_batch
@@ -85,3 +86,28 @@ class TestComputeMetrics:
             assert r.accuracy == (tp + tn) / 6
             assert 0.0 <= min(r.recall, r.precision, r.f1, r.accuracy)
             assert max(r.recall, r.precision, r.f1, r.accuracy) <= 1.0
+
+
+def fold_accumulate(counts, predicted, actual):
+    for p, a in zip(predicted, actual):
+        counts = accumulate(counts, int(p), int(a))
+    return counts
+
+
+class TestCountBatchVectorised:
+    def test_matches_a_fold_of_accumulate(self):
+        rng = np.random.default_rng(5)
+        start = ConfusionCounts(tp=3, tn=1, fp=4, fn=1)
+        for n in [0, 1, 2, 7, 64, 1000]:
+            preds, labels = rng.integers(0, 2, n), rng.integers(0, 2, n)
+            for p, a in [(preds, labels), (preds.tolist(), labels.tolist()),
+                         (preds.astype(np.float32), labels.astype(np.int64))]:
+                got = count_batch(start, p, a)
+                assert got == fold_accumulate(start, p, a)
+                assert all(type(v) is int for v in (got.tp, got.tn, got.fp, got.fn))
+
+    @pytest.mark.parametrize("predicted, actual", [([0, 1, 2], [0, 1, 1]), ([0, 1], [1, -1]),
+                                                   (np.array([1, 3]), np.array([0, 0]))])
+    def test_rejects_labels_outside_zero_one(self, predicted, actual):
+        with pytest.raises(ValueError, match="class labels must be 0 or 1"):
+            count_batch(ConfusionCounts(), predicted, actual)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bct.errors import NumericError
 from bct.optim import Optimizer, OptimizerConfig, rectification_term
 from bct.tensor import Tensor
 
@@ -274,3 +275,143 @@ class TestDescentAndState:
         opt.step()
         assert w.data.dtype == np.float32
         assert opt.m["w"].dtype == np.float32
+
+
+# ---- the flat store against the per-tensor loop it replaces
+
+
+class PerTensorReference:
+    """The per-parameter update loop, on private copies of the parameters."""
+
+    def __init__(self, params, config):
+        self.config, self.t, self.frozen = config, 0, frozenset()
+        self.data = {n: p.data.copy() for n, p in params.items()}
+        self.m = {n: np.zeros_like(a) for n, a in self.data.items()}
+        self.v = {n: np.zeros_like(a) for n, a in self.data.items()}
+
+    def step(self, grads):
+        self.t += 1
+        cfg = self.config
+        lr, b1, b2, eps = cfg.resolved_lr(), cfg.beta1, cfg.beta2, cfg.epsilon
+        bc1, bc2 = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
+        r_t = rectification_term(self.t, b2)[1] if cfg.kind == "rectadam" else None
+        for name, w in self.data.items():
+            if name in self.frozen:
+                continue
+            dt, g, m, v = w.dtype.type, grads[name], self.m[name], self.v[name]
+            if cfg.kind == "sgd":
+                m *= dt(cfg.momentum)
+                m += g
+                w -= dt(lr) * m
+                continue
+            m *= dt(b1)
+            m += dt(1.0 - b1) * g
+            v *= dt(b2)
+            v += dt(1.0 - b2) * g * g
+            m_hat = m / dt(bc1)
+            if cfg.kind == "adam":
+                w -= dt(lr) * m_hat / (np.sqrt(v / dt(bc2)) + dt(eps))
+            elif r_t is None:
+                w -= dt(lr) * m_hat
+            else:
+                w -= dt(lr * r_t) * m_hat / (np.sqrt(v / dt(bc2)) + dt(eps))
+
+
+SHAPES = {"conv1.weight": (2, 3, 3, 3), "conv1.bias": (2,), "dense1.weight": (4, 8), "dense1.bias": (4,),
+          "head.weight": (2, 4), "head.bias": (2,)}
+
+
+def registry(rng, dtype):
+    return {n: Tensor(rng.standard_normal(s), requires_grad=True, dtype=dtype) for n, s in SHAPES.items()}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kind", ["sgd", "adam", "rectadam"])
+def test_flat_store_matches_per_tensor_loop_bytes(kind, dtype):
+    rng = np.random.default_rng(3)
+    params = registry(rng, dtype)
+    cfg = OptimizerConfig(kind=kind, learning_rate=0.01)
+    opt, ref = Optimizer(params, cfg), PerTensorReference(params, cfg)
+    # all trainable, then head only (tl), then everything but the head (etl stage 2),
+    # then a freeze that splits the store into two runs
+    schedule = [(), ("conv1.weight", "conv1.bias", "dense1.weight", "dense1.bias"),
+                ("head.weight", "head.bias"), ("dense1.weight",)]
+    for frozen in schedule:
+        opt.set_freeze(frozen)
+        ref.frozen = frozenset(frozen)
+        for i in range(40):
+            scale = 10.0 ** rng.integers(-6, 3)  # gradients from 1e-6 to 1e2
+            grads = {n: (rng.standard_normal(s) * scale).astype(dtype) for n, s in SHAPES.items()}
+            opt.zero_grad()
+            for name, g in grads.items():
+                if i % 2:
+                    params[name].grad = g  # assigned directly, as a caller may
+                else:
+                    params[name].accumulate_grad(g)  # the first write of backward()
+            opt.step()
+            ref.step(grads)
+    for name, p in params.items():
+        assert p.data.tobytes() == ref.data[name].tobytes(), name
+        assert opt.m[name].tobytes() == ref.m[name].tobytes(), name
+        if kind != "sgd":
+            assert opt.v[name].tobytes() == ref.v[name].tobytes(), name
+
+
+def test_registry_tensors_and_moments_are_views_of_the_store():
+    params = registry(np.random.default_rng(0), np.float32)
+    before = {n: p.data.copy() for n, p in params.items()}
+    opt = Optimizer(params, OptimizerConfig(kind="adam"))
+    for name, p in params.items():
+        np.testing.assert_array_equal(p.data, before[name])
+        assert p.data.shape == SHAPES[name]
+        for flat, view in ((opt.flat_data, p.data), (opt.flat_grad, p.grad_view),
+                           (opt.flat_m, opt.m[name]), (opt.flat_v, opt.v[name])):
+            assert np.shares_memory(flat, view)
+    p = params["dense1.bias"]
+    p.accumulate_grad(np.ones(4, np.float32))
+    assert p.grad is p.grad_view  # the first write lands in the store
+    assert opt.flat_grad[opt.spans["dense1.bias"]].tolist() == [1.0] * 4
+    assert Optimizer(registry(np.random.default_rng(0), np.float32), OptimizerConfig(kind="sgd")).v == {}
+
+
+def test_contiguous_trainable_params_form_one_run():
+    params = registry(np.random.default_rng(0), np.float32)
+    opt = Optimizer(params, OptimizerConfig())
+    total = opt.flat_data.size
+    assert opt.runs == [slice(0, total)]
+    opt.set_freeze(["conv1.weight", "conv1.bias"])
+    assert len(opt.runs) == 1 and opt.runs[0].stop == total
+    opt.set_freeze(["dense1.weight"])
+    assert len(opt.runs) == 2
+    opt.set_freeze(params)
+    assert opt.runs == []
+
+
+def test_mixed_dtype_registry_rejected():
+    a = Tensor([1.0], requires_grad=True, dtype=np.float32)
+    b = Tensor([1.0], requires_grad=True, dtype=np.float64)
+    with pytest.raises(ValueError, match="dtypes"):
+        Optimizer({"a": a, "b": b}, OptimizerConfig())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_gradient_raises_before_any_update(bad):
+    params = registry(np.random.default_rng(1), np.float32)
+    opt = Optimizer(params, OptimizerConfig(kind="adam"))
+    for p in params.values():
+        p.grad = np.ones(p.shape, np.float32)
+    opt.step()
+    snapshot = (opt.flat_data.copy(), opt.flat_m.copy(), opt.flat_v.copy(), opt.t)
+    for p in params.values():
+        p.grad = np.ones(p.shape, np.float32)
+    params["dense1.bias"].grad[2] = bad
+    params["head.weight"].grad[0, 0] = bad
+    with pytest.raises(NumericError, match="'dense1.bias'"):
+        opt.step()
+    assert opt.flat_data.tobytes() == snapshot[0].tobytes()
+    assert opt.flat_m.tobytes() == snapshot[1].tobytes() and opt.flat_v.tobytes() == snapshot[2].tobytes()
+    assert opt.t == snapshot[3]
+    # a frozen parameter's gradient is not checked: it is never used
+    opt.set_freeze(["dense1.bias", "head.weight"])
+    opt.step()
+    assert np.isfinite(opt.flat_data).all()

@@ -134,6 +134,17 @@ class TestFirstGradient:
         s.accumulate_grad(np.float32(2.5))
         np.testing.assert_array_equal(s.grad, np.full((2, 2), 2.5, np.float32))
 
+    def test_first_write_lands_in_the_grad_view(self):
+        # an Optimizer points grad_view into its flat store; the bytes stay 0 + g
+        store = np.full(8, 9.0, np.float32)
+        t = Tensor(np.ones((2, 3)), requires_grad=True)
+        t.grad_view = store[1:7].reshape(2, 3)
+        t.accumulate_grad(np.array([-0.0, 1.0 + 2.0**-30, -2.0]))
+        assert t.grad is t.grad_view
+        assert store.tobytes() == np.array([9, 0, 1, -2, 0, 1, -2, 9], np.float32).tobytes()
+        t.accumulate_grad(np.ones(3, np.float32))
+        assert t.grad is t.grad_view and store[1:7].tolist() == [1, 2, -1, 1, 2, -1]
+
 
 class TestBackward:
     def test_simple_chain(self, f64):

@@ -16,6 +16,7 @@ from bct.config import ModelConfig, TrainConfig
 from bct.data import synth_generate
 from bct.errors import ConfigError, DataError, NumericError
 from bct.staging import pretrain_source
+from bct.tensor import Tensor
 from bct.trainer import EpochRecord, RunLog, check_convergence, run_ablation, runlog_csv, train
 
 SMALL_MODEL = dict(kind="cnn", channels=(4, 8, 8), dense_width=16)
@@ -88,6 +89,27 @@ class TestTrainLoop:
 
         monkeypatch.setattr(trainer, "make_loss", lambda spec: lambda s, t: Poisoned())
         with pytest.raises(NumericError, match="epoch 1, batch 0"):
+            train(small_config(dataset))
+
+    def test_non_finite_gradient_names_parameter_epoch_and_batch(self, dataset, monkeypatch):
+        # a finite loss whose gradient is NaN from the second training batch on
+        real_make_loss, steps = trainer.make_loss, []
+
+        def poisoned(spec):
+            real = real_make_loss(spec)
+
+            def loss_fn(s, t):
+                loss = real(s, t)
+                if not loss.requires_grad:  # an eval pass
+                    return loss
+                steps.append(1)
+                fill = np.full(s.shape, np.nan if len(steps) >= 2 else 0.0, s.dtype)
+                return Tensor.from_op(loss.data, (s,), lambda g: s.accumulate_grad(fill))
+
+            return loss_fn
+
+        monkeypatch.setattr(trainer, "make_loss", poisoned)
+        with pytest.raises(NumericError, match=r"parameter 'conv1.weight' at epoch 1, batch 1"):
             train(small_config(dataset))
 
     def test_best_val_tracks_strict_improvement(self, dataset):
