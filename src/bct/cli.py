@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .checkpoint import CheckpointError, load_checkpoint, read_checkpoint
-from .config import KEYS, build_config
+from .config import KEYS, _parse_int_list, build_config
 from .data import load_manifest, load_split, read_ppm, synth_generate
 from .errors import ConfigError, DataError, NumericError
 from .svgchart import line_chart
@@ -66,11 +66,12 @@ def _config_from_args(args):
     return build_config(args.config, _collect_overrides(args))
 
 
-def _parse_seed_list(text: str) -> list:
+def _parse_flag_ints(flag: str, text: str) -> tuple:
+    """Comma-separated integers of a command-line flag; a ConfigError names the flag."""
     try:
-        return [int(s.strip()) for s in text.split(",")]
-    except ValueError:
-        raise ConfigError(f"--seeds: expected comma-separated integers, got {text!r}") from None
+        return _parse_int_list(text)
+    except ConfigError as e:
+        raise ConfigError(f"{flag}: {e}") from None
 
 
 # ------------------------------------------------------------------ commands
@@ -79,10 +80,9 @@ def _parse_seed_list(text: str) -> list:
 def cmd_synth(args) -> int:
     counts = None
     if args.counts:
-        parts = [int(s) for s in args.counts.split(",")]
-        if len(parts) != 2:
+        counts = _parse_flag_ints("--counts", args.counts)
+        if len(counts) != 2:
             raise ConfigError(f"--counts: expected two integers, got {args.counts!r}")
-        counts = tuple(parts)
     manifest = synth_generate(
         args.out,
         n_per_class=args.per_class,
@@ -158,7 +158,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_ablate(args) -> int:
     config = _config_from_args(args)
-    table = run_ablation(args.suite, config, _parse_seed_list(args.seeds), args.out, jobs=args.jobs)
+    table = run_ablation(args.suite, config, _parse_flag_ints("--seeds", args.seeds), args.out, jobs=args.jobs)
     sys.stdout.write(table.markdown())
     print(f"tables in {args.out}")
     return 0

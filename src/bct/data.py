@@ -105,12 +105,6 @@ def resize_nearest(pixels: np.ndarray, height: int, width: int) -> np.ndarray:
     return pixels[ys][:, xs]
 
 
-def image_to_tensor(pixels: np.ndarray) -> Tensor:
-    """(H, W, 3) uint8 -> float32 (3, H, W) tensor scaled to [0, 1]."""
-    chw = np.transpose(pixels, (2, 0, 1)).astype(np.float32) / np.float32(255.0)
-    return Tensor(chw)
-
-
 # ------------------------------------------------------------ synth textures
 
 
@@ -346,56 +340,61 @@ def load_manifest(root) -> DatasetManifest:
     return DatasetManifest(Path(root), image_size, ratios, seed, entries)
 
 
-# ------------------------------------------------------------ samples/batches
+# ------------------------------------------------------------ splits/batches
 
 
-@dataclass
-class Sample:
-    """One decoded image: float32 (3, H, W) tensor in [0, 1] plus its label."""
+@dataclass(frozen=True)
+class Split:
+    """Decoded images of one split, in manifest order; indexing gathers a sub-split."""
 
-    image: Tensor
-    label: int
-    id: str
+    images: np.ndarray  # (N, 3, H, W) float32 in [0, 1]
+    labels: np.ndarray  # (N,) int64
+    ids: np.ndarray  # (N,) str
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __getitem__(self, index) -> "Split":
+        """A slice (views) or an index array (copies, in the array's order)."""
+        return Split(self.images[index], self.labels[index], self.ids[index])
 
 
-def load_split(manifest: DatasetManifest, split: str) -> list[Sample]:
+def load_split(manifest: DatasetManifest, split: str) -> Split:
     """Decode every image of a split, resized to manifest.image_size."""
     _check_split(split)
-    samples = []
+    entries = [(img_id, label) for img_id, label, s in manifest.entries if s == split]
     size = manifest.image_size
-    for img_id, label, s in manifest.entries:
-        if s != split:
-            continue
+    images = np.empty((len(entries), 3, size, size), dtype=np.float32)
+    for slot, (img_id, _) in zip(images, entries):
         pixels = read_ppm(Path(manifest.root) / img_id)
         if pixels.shape[:2] != (size, size):
             pixels = resize_nearest(pixels, size, size)
-        samples.append(Sample(image=image_to_tensor(pixels), label=label, id=img_id))
-    return samples
+        slot[...] = np.transpose(pixels, (2, 0, 1))  # exact cast of each byte to float32
+    images /= np.float32(255.0)  # in place: no second full-size temporary
+    labels = np.array([label for _, label in entries], dtype=np.int64)
+    return Split(images, labels, np.array([img_id for img_id, _ in entries], dtype=str))
 
 
 class Batch(NamedTuple):
     images: Tensor  # (N, 3, H, W) float32
     targets: Tensor  # (N, 2) one-hot float32
     labels: np.ndarray  # (N,) int64
-    ids: tuple
+    ids: np.ndarray  # (N,) str
 
 
-def stack_batch(samples: list[Sample]) -> Batch:
-    images = Tensor(np.stack([s.image.data for s in samples]))
-    labels = np.array([s.label for s in samples], dtype=np.int64)
-    targets = Tensor(np.eye(2, dtype=np.float32)[labels])
-    return Batch(images, targets, labels, tuple(s.id for s in samples))
+def stack_batch(split: Split) -> Batch:
+    return Batch(Tensor(split.images), Tensor(np.eye(2, dtype=np.float32)[split.labels]), split.labels, split.ids)
 
 
-def make_batches(samples: list[Sample], batch_size: int, seed: int) -> list[Batch]:
+def make_batches(split: Split, batch_size: int, seed: int) -> list[Batch]:
     """Seeded shuffle then contiguous batches; the last one may be short."""
-    if not samples:
+    if not split:
         raise DataError("cannot batch an empty split")
     if batch_size < 1:
         raise ConfigError(f"batch size must be >= 1, got {batch_size}")
-    order = list(range(len(samples)))
+    order = list(range(len(split)))
     Rng(seed).shuffle(order)
     return [
-        stack_batch([samples[i] for i in order[start : start + batch_size]])
-        for start in range(0, len(samples), batch_size)
+        stack_batch(split[np.array(order[start : start + batch_size])])
+        for start in range(0, len(split), batch_size)
     ]

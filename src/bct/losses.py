@@ -5,10 +5,15 @@ kernel that records one tape node: -sum t * log(clamp(s, 1e-12, 1)) over
 classes and batch, over N for the mean; the clamp keeps a certain-wrong
 score's penalty finite. focal_loss (Lin et al. 2017, arXiv:1708.02002)
 weights each term by (1 - s)^gamma; gamma = 0 skips that, giving binary
-cross-entropy bit for bit. The kernel replays the ufuncs and first-gradient
-writes of the Tensor-op chain clamp, log, mul, [pow, mul,] sum, neg, div, so
+cross-entropy bit for bit. The kernel replays the ufuncs of the Tensor-op
+chain clamp, log, mul, [pow, mul,] sum, neg, div in the chain's order, so
 its bytes are the chain's, but where s == 1 the (1 - s)^gamma path adds 0
-(its limit) where the chain gave NaN for 0 < gamma < 1.
+(its limit) where the chain gave NaN for 0 < gamma < 1. Of the chain's
+first-gradient writes (x + 0, which turns -0.0 into +0.0) it keeps only the
+one before the clamp mask. A zero whose sign another write would fix is
+either fixed by that one or added to a gradient that is not -0.0, so
+scores.grad keeps the chain's bytes (tests/test_losses.py checks this with
+the upstream gradient varied).
 """
 
 from dataclasses import dataclass
@@ -61,11 +66,6 @@ def _check_batch(scores: Tensor, targets: Tensor, want_binary: bool) -> None:
         raise TypeError(f"loss: mixed dtypes {scores.dtype.name} vs {targets.dtype.name}")
 
 
-def _first(x, like):
-    """What a tape node's first gradient write stores: x + 0, in like's dtype and shape."""
-    return np.add(x, 0, out=np.empty_like(like))
-
-
 def _loss(scores: Tensor, targets: Tensor, reduction: str, gamma: float = 0.0, want_binary: bool = True) -> Tensor:
     """-sum t * log(clamp(s)) [* (1 - s)^gamma], divided by N for "mean", as one tape node."""
     _check_batch(scores, targets, want_binary)
@@ -81,18 +81,16 @@ def _loss(scores: Tensor, targets: Tensor, reduction: str, gamma: float = 0.0, w
     out = total / dt(n) if reduction == "mean" else total
 
     def backward(g):
-        if reduction == "mean":
-            g = _first(g / dt(n), total)
-        g = _first(_first(-g, total), w)  # np.add broadcasts the scalar, as sum's backward did
+        g = -(g / dt(n)) if reduction == "mean" else -g
         if gamma != 0:
-            gp, g = _first(g * tlog, pw), _first(g * pw, tlog)
-        gc = _first(_first(g * t, logs) / c, c)
+            gp, g = g * tlog, g * pw
+        gc = g * t / c + 0  # + 0 turns -0.0 into +0.0, as the chain's first gradient write did
         scores.accumulate_grad(gc * ((a >= SCORE_FLOOR) & (a <= 1.0)))  # clamp path first
         if gamma != 0:
             with np.errstate(divide="ignore"):  # 0 ** (gamma - 1) for gamma < 1, zeroed next
                 dpow = om ** dt(gamma - 1.0)
             dpow[om == 0] = 0
-            scores.accumulate_grad(-_first(gp * dt(gamma) * dpow, om))
+            scores.accumulate_grad(-(gp * dt(gamma) * dpow))
 
     return Tensor.from_op(out, (scores,), backward)
 

@@ -8,8 +8,7 @@ topological order, accumulating gradients additively so fan-out just works.
 Conventions fixed here and relied on throughout the package:
   * dtype is float32 unless float64 is requested explicitly; binary ops
     require matching dtypes (scalars adopt the tensor's dtype)
-  * argmax/max ties resolve to the lowest index; elementwise maximum ties
-    take the first argument
+  * argmax ties resolve to the lowest index
   * clamp passes gradient through at the boundaries (mask includes equality)
   * forward ops never mutate their inputs
   * tensors own their storage, except the parameters of an Optimizer's
@@ -246,20 +245,6 @@ class Tensor:
 
         return Tensor.from_op(out_data, (self,), backward)
 
-    def maximum(self, other):
-        """Elementwise max; on ties the gradient goes to self (first argument)."""
-        ot, od = self._coerce(other, "maximum")
-        take_self = self.data >= od
-        out_data = np.where(take_self, self.data, od)
-        parents = (self,) if ot is None else (self, ot)
-
-        def backward(g):
-            self.accumulate_grad(g * take_self)
-            if ot is not None:
-                ot.accumulate_grad(g * ~take_self)
-
-        return Tensor.from_op(out_data, parents, backward)
-
     def clamp(self, lo: float, hi: float):
         """Clip to [lo, hi]; gradient passes through wherever lo <= x <= hi."""
         if not lo <= hi:
@@ -349,51 +334,6 @@ class Tensor:
                 self.accumulate_grad(np.broadcast_to(g, shape))
             else:
                 self.accumulate_grad(np.broadcast_to(np.expand_dims(g, axis), shape))
-
-        return Tensor.from_op(out_data, (self,), backward)
-
-    def mean(self, axis: int | None = None):
-        self._check_axis(axis, "mean")
-        shape = self.shape
-        k = self.size if axis is None else shape[axis]
-        if k == 0:
-            raise ShapeError("mean: reduction over zero elements")
-        inv = self.dtype.type(1.0 / k)
-        out_data = self.data.mean(axis=axis, dtype=self.dtype)
-
-        def backward(g):
-            if axis is None:
-                self.accumulate_grad(np.broadcast_to(g * inv, shape))
-            else:
-                self.accumulate_grad(np.broadcast_to(np.expand_dims(g * inv, axis), shape))
-
-        return Tensor.from_op(out_data, (self,), backward)
-
-    def max(self, axis: int | None = None):
-        """Max reduction; gradient routes to the lowest-index maximum only."""
-        self._check_axis(axis, "max")
-        if self.size == 0:
-            raise ShapeError("max: empty tensor")
-        a_data = self.data
-        if axis is None:
-            flat_idx = int(np.argmax(a_data))
-            out_data = a_data.reshape(-1)[flat_idx].reshape(())
-
-            def backward(g):
-                full = np.zeros_like(a_data)
-                full.reshape(-1)[flat_idx] = g.reshape(())
-                self.accumulate_grad(full)
-
-        else:
-            idx = np.argmax(a_data, axis=axis)
-            out_data = np.max(a_data, axis=axis)
-
-            def backward(g):
-                full = np.zeros_like(a_data)
-                np.put_along_axis(
-                    full, np.expand_dims(idx, axis), np.expand_dims(g, axis), axis
-                )
-                self.accumulate_grad(full)
 
         return Tensor.from_op(out_data, (self,), backward)
 

@@ -237,3 +237,11 @@ class TestAblateCommand:
             "--data.root", str(workspace / "ds"),
         ]) == 2
         assert "--seeds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("counts", ["3,x", "1,2,3"])
+def test_bad_counts_flag(tmp_path, capsys, counts):
+    assert main(["synth", "--out", str(tmp_path / "ds"), "--counts", counts]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "--counts" in err and counts in err
+    assert not (tmp_path / "ds").exists()

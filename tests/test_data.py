@@ -4,13 +4,13 @@ import pytest
 from bct.data import (
     MANIFEST_NAME,
     allocate_splits,
-    image_to_tensor,
     load_manifest,
     load_split,
     make_batches,
     read_ppm,
     resize_nearest,
     scan_dataset,
+    stack_batch,
     synth_generate,
     synth_image,
     write_ppm,
@@ -225,44 +225,144 @@ class TestSamplesAndBatches:
         return synth_generate(tmp_path, n_per_class=6, seed=4, image_size=8)
 
     def test_load_split_tensors(self, dataset):
-        samples = load_split(dataset, "train")
-        assert len(samples) == len(dataset.ids("train"))
-        s = samples[0]
-        assert s.image.shape == (3, 8, 8)
-        assert s.image.dtype == np.float32
-        assert 0.0 <= float(s.image.data.min()) and float(s.image.data.max()) <= 1.0
-        assert s.label in (0, 1)
-        assert s.label == int(s.id[5])  # "classN/..."
+        split = load_split(dataset, "train")
+        assert len(split) == len(dataset.ids("train"))
+        assert split.images.shape == (len(split), 3, 8, 8)
+        assert split.images.dtype == np.float32
+        assert 0.0 <= float(split.images.min()) and float(split.images.max()) <= 1.0
+        assert split.labels.dtype == np.int64
+        assert set(split.labels.tolist()) <= {0, 1}
+        assert list(split.ids) == dataset.ids("train")
+        assert [int(i[5]) for i in split.ids] == split.labels.tolist()  # "classN/..."
 
     def test_load_split_resizes(self, tmp_path):
         synth_generate(tmp_path, n_per_class=2, seed=0, image_size=8)
         m = scan_dataset(tmp_path, image_size=4, seed=0)
-        samples = load_split(m, "train")
-        assert samples[0].image.shape == (3, 4, 4)
+        split = load_split(m, "train")
+        assert split.images.shape[1:] == (3, 4, 4)
 
     def test_batches_cover_each_sample_once(self, dataset):
-        samples = load_split(dataset, "train")
-        batches = make_batches(samples, batch_size=4, seed=11)
+        split = load_split(dataset, "train")
+        batches = make_batches(split, batch_size=4, seed=11)
         seen = [i for b in batches for i in b.ids]
-        assert sorted(seen) == sorted(s.id for s in samples)
-        assert len(batches[-1].ids) == len(samples) - 4 * (len(batches) - 1)
+        assert sorted(seen) == sorted(split.ids)
+        assert len(batches[-1].ids) == len(split) - 4 * (len(batches) - 1)
 
     def test_batch_onehot_targets(self, dataset):
-        samples = load_split(dataset, "train")
-        b = make_batches(samples, batch_size=3, seed=0)[0]
+        split = load_split(dataset, "train")
+        b = make_batches(split, batch_size=3, seed=0)[0]
         np.testing.assert_array_equal(b.targets.data.sum(axis=1), np.ones(3))
         for row, label in zip(b.targets.data, b.labels):
             assert row[label] == 1.0
 
     def test_epoch_seed_changes_order(self, dataset):
-        samples = load_split(dataset, "train")
+        split = load_split(dataset, "train")
         run_seed = 19
-        e0 = [i for b in make_batches(samples, 4, run_seed ^ 0) for i in b.ids]
-        e1 = [i for b in make_batches(samples, 4, run_seed ^ 1) for i in b.ids]
-        again = [i for b in make_batches(samples, 4, run_seed ^ 0) for i in b.ids]
+        e0 = [i for b in make_batches(split, 4, run_seed ^ 0) for i in b.ids]
+        e1 = [i for b in make_batches(split, 4, run_seed ^ 1) for i in b.ids]
+        again = [i for b in make_batches(split, 4, run_seed ^ 0) for i in b.ids]
         assert e0 != e1
         assert e0 == again
 
     def test_empty_split_errors(self, dataset):
         with pytest.raises(DataError):
-            make_batches([], 4, 0)
+            make_batches(load_split(dataset, "train")[:0], 4, 0)
+
+
+# ---- the array-backed split against the per-sample decode it replaced
+
+
+def decode_per_sample(manifest, split):
+    """One float32 (3, H, W) array per image in manifest order, as the old loader built them."""
+    images, labels, ids = [], [], []
+    size = manifest.image_size
+    for img_id, label, s in manifest.entries:
+        if s != split:
+            continue
+        pixels = read_ppm(manifest.root / img_id)
+        if pixels.shape[:2] != (size, size):
+            pixels = resize_nearest(pixels, size, size)
+        images.append(np.transpose(pixels, (2, 0, 1)).astype(np.float32) / np.float32(255.0))
+        labels.append(label)
+        ids.append(img_id)
+    return images, labels, ids
+
+
+def batches_per_sample(images, labels, ids, batch_size, seed):
+    """The old make_batches: shuffle, then np.stack each batch's per-sample arrays."""
+    order = list(range(len(images)))
+    Rng(seed).shuffle(order)
+    out = []
+    for start in range(0, len(order), batch_size):
+        idx = order[start : start + batch_size]
+        out.append((np.stack([images[i] for i in idx]), np.array([labels[i] for i in idx], dtype=np.int64),
+                    [ids[i] for i in idx]))
+    return out
+
+
+@pytest.fixture
+def random_bytes_dataset(tmp_path):
+    """Non-square 6x10 images of uniform random bytes, so nearly every byte value is decoded."""
+    rng = Rng(77)
+    for label, n in ((0, 9), (1, 7)):
+        (tmp_path / f"class{label}").mkdir()
+        for i in range(n):
+            img = (rng.uniform(6 * 10 * 3) * 256).astype(np.uint8).reshape(6, 10, 3)
+            write_ppm(tmp_path / f"class{label}" / f"img_{i:02d}.ppm", img)
+    return tmp_path
+
+
+class TestSplitByteOracle:
+    @pytest.mark.parametrize("split", ["train", "val", "test"])
+    @pytest.mark.parametrize("image_size", [8, 5, 13])
+    def test_images_equal_per_sample_decode(self, random_bytes_dataset, split, image_size):
+        m = scan_dataset(random_bytes_dataset, image_size=image_size, ratios=(0.5, 0.25, 0.25), seed=3)
+        images, labels, ids = decode_per_sample(m, split)
+        got = load_split(m, split)
+        assert len(got) == len(images) > 0
+        assert got.images.dtype == np.float32 and got.images.shape == (len(images), 3, image_size, image_size)
+        assert got.images.tobytes() == np.stack(images).tobytes()
+        assert got.labels.tobytes() == np.array(labels, dtype=np.int64).tobytes()
+        assert list(got.ids) == ids
+
+    def test_file_size_images_equal_per_sample_decode(self, tmp_path):
+        m = synth_generate(tmp_path, n_per_class=5, seed=8, noise_level=0.5, image_size=8)
+        for split in ("train", "val", "test"):
+            images, _, _ = decode_per_sample(m, split)
+            assert load_split(m, split).images.tobytes() == np.stack(images).tobytes()
+
+    def test_empty_split(self, random_bytes_dataset):
+        m = scan_dataset(random_bytes_dataset, image_size=8, ratios=(1.0, 0.0, 0.0), seed=3)
+        for split in ("val", "test"):
+            assert decode_per_sample(m, split) == ([], [], [])
+            got = load_split(m, split)
+            assert len(got) == 0 and not got
+            assert got.images.shape == (0, 3, 8, 8) and got.images.dtype == np.float32
+            assert got.labels.shape == (0,) and got.labels.dtype == np.int64
+            assert list(got.ids) == []
+
+    @pytest.mark.parametrize("batch_size", [3, 5, 16])
+    def test_batches_equal_per_sample_gather(self, random_bytes_dataset, batch_size):
+        m = scan_dataset(random_bytes_dataset, image_size=8, ratios=(1.0, 0.0, 0.0), seed=3)
+        split = load_split(m, "train")
+        images, labels, ids = decode_per_sample(m, "train")
+        for seed in range(4):
+            got = make_batches(split, batch_size, seed)
+            want = batches_per_sample(images, labels, ids, batch_size, seed)
+            assert len(got) == len(want)
+            for b, (w_images, w_labels, w_ids) in zip(got, want):
+                assert b.images.data.tobytes() == w_images.tobytes()
+                assert b.labels.tobytes() == w_labels.tobytes()
+                assert b.targets.data.tobytes() == np.eye(2, dtype=np.float32)[w_labels].tobytes()
+                assert list(b.ids) == w_ids
+
+    def test_contiguous_batches_equal_per_sample_stack(self, random_bytes_dataset):
+        # eval_split batches a split by slices, in manifest order
+        m = scan_dataset(random_bytes_dataset, image_size=8, ratios=(1.0, 0.0, 0.0), seed=3)
+        split = load_split(m, "train")
+        images, labels, ids = decode_per_sample(m, "train")
+        for start in range(0, len(split), 6):
+            b = stack_batch(split[start : start + 6])
+            assert b.images.data.tobytes() == np.stack(images[start : start + 6]).tobytes()
+            assert b.labels.tolist() == labels[start : start + 6]
+            assert list(b.ids) == ids[start : start + 6]

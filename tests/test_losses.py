@@ -214,13 +214,18 @@ def kernel_loss(scores, targets, gamma, reduction):
     return focal_loss(scores, targets, gamma=gamma, reduction=reduction)
 
 
-def value_and_grad(fn, rows, labels, dtype, gamma, reduction, preset=None):
+def value_and_grad(fn, rows, labels, dtype, gamma, reduction, preset=None, upstream=1.0):
+    """The loss and scores.grad after backpropagating through loss * upstream.
+
+    The multiply's first gradient write turns an upstream -0.0 into +0.0, so
+    the loss node sees g in {1, -1, +0.0, 0.25} for the values drawn below.
+    """
     s = Tensor(np.asarray(rows, dtype), requires_grad=True, dtype=dtype)
     t = Tensor(np.eye(2, dtype=dtype)[labels], dtype=dtype)
     if preset is not None:  # scores already hold a gradient, say from a second consumer
         s.grad = np.full(s.shape, preset, dtype)
     loss = fn(s, t, gamma, reduction)
-    loss.backward()
+    (loss * upstream).backward()
     return np.asarray(loss.data), s.grad
 
 
@@ -255,12 +260,13 @@ GAMMAS = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]), st.floats(0.0, 3.
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("reduction", ["mean", "sum"])
 class TestLossKernelProperties:
-    @settings(max_examples=120, deadline=None)
-    @given(case=score_rows(saturated=False), gamma=GAMMAS, preset=st.sampled_from([None, -0.0, 0.0, 0.25]))
-    def test_bytes_equal_the_composed_chain(self, dtype, reduction, case, gamma, preset):
+    @settings(max_examples=200, deadline=None)
+    @given(case=score_rows(saturated=False), gamma=GAMMAS, preset=st.sampled_from([None, -0.0, 0.0, 0.25]),
+           upstream=st.sampled_from([1.0, -1.0, 0.0, -0.0, 0.25]))
+    def test_bytes_equal_the_composed_chain(self, dtype, reduction, case, gamma, preset, upstream):
         rows, labels = case
-        got = value_and_grad(kernel_loss, rows, labels, dtype, gamma, reduction, preset)
-        want = value_and_grad(chain_loss, rows, labels, dtype, gamma, reduction, preset)
+        got = value_and_grad(kernel_loss, rows, labels, dtype, gamma, reduction, preset, upstream)
+        want = value_and_grad(chain_loss, rows, labels, dtype, gamma, reduction, preset, upstream)
         assert np.isfinite(want[1]).all()
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and g.shape == w.shape
