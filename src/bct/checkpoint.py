@@ -13,6 +13,7 @@ Values are always stored as float32. Reads are strict: bad magic, short
 files, and trailing bytes all raise CheckpointError with the byte offset.
 """
 
+import math
 import struct
 from pathlib import Path
 
@@ -73,11 +74,11 @@ def read_checkpoint(path) -> dict[str, np.ndarray]:
             raise CheckpointError(f"{path}: duplicate parameter {name!r}")
         (rank,) = struct.unpack("<I", take(4, f"rank of {name!r}"))
         dims = struct.unpack(f"<{rank}I", take(4 * rank, f"dims of {name!r}")) if rank else ()
-        n_values = 1
-        for d in dims:
-            n_values *= d
-        raw = take(4 * n_values, f"values of {name!r}")
-        state[name] = np.frombuffer(raw, dtype="<f4").reshape(dims).astype(np.float32)
+        raw = take(4 * math.prod(dims), f"values of {name!r}")
+        try:
+            state[name] = np.frombuffer(raw, dtype="<f4").reshape(dims).astype(np.float32)
+        except ValueError as e:  # a zero dim lets the others overflow numpy's size limit
+            raise CheckpointError(f"{path}: dims {dims} of {name!r} at byte {pos - len(raw) - 4 * rank}: {e}") from e
     if pos != len(buf):
         raise CheckpointError(f"{path}: {len(buf) - pos} trailing bytes after entry {count - 1}")
     return state

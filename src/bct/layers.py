@@ -3,10 +3,12 @@
 Convolution and pooling register their own backward closures rather than
 composing primitives. Both work on the k*k strided window views of their
 input (one view per kernel offset, always in (ky, kx) order). Conv2d copies
-the views once into channel-major im2col columns and contracts them with
-BLAS matmuls; MaxPool2d reduces them pairwise with np.maximum and finds the
-gradient routing only when its backward runs. Every scatter-add walks the
-offsets in the same order, so gradients are bit-reproducible.
+the views into channel-major im2col columns and contracts them with one
+BLAS GEMM per sample, so an output's bytes do not depend on its batch and
+no-grad forwards can stream the columns in chunks (see Conv2d). MaxPool2d
+reduces the views pairwise with np.maximum and finds the gradient routing
+only when its backward runs. Every scatter-add walks the offsets in the
+same order, so gradients are bit-reproducible.
 
 The builders pool before they activate (conv -> max-pool -> activation), so
 the activation and its gradient see a quarter of the elements at pool 2.
@@ -20,7 +22,9 @@ Model prefixes them with the layer's name ("conv1.weight", ...).
 import numpy as np
 
 from .rng import Rng, derive
-from .tensor import ShapeError, Tensor
+from .tensor import ShapeError, Tensor, recording
+
+_COLS_BYTES = 1 << 22  # the im2col buffer of a forward that no backward reads
 
 
 def glorot_uniform(rng: Rng, shape: tuple, fan_in: int, fan_out: int, dtype) -> np.ndarray:
@@ -47,7 +51,7 @@ def _weight_and_bias(kind: str, wshape: tuple, weight, bias, rng: Rng | None, dt
 
 def _windows(k: int, s: int, ho: int, wo: int) -> list:
     """Index tuples of the k*k strided window views over an NCHW map, (ky, kx) order."""
-    return [(..., slice(ky, ky + s * ho, s), slice(kx, kx + s * wo, s)) for ky, kx in np.ndindex(k, k)]
+    return [(..., slice(ky, ky + s * ho, s), slice(kx, kx + s * wo, s)) for ky in range(k) for kx in range(k)]
 
 
 class Conv2d:
@@ -55,6 +59,12 @@ class Conv2d:
 
     weight shape (out_channels, in_channels, kh, kw), bias shape (out_channels,).
     Output spatial dims must come out integral: (H + 2p - k) divisible by stride.
+
+    When the op is recorded for backward, forward keeps the whole batch's
+    im2col columns, as the weight gradient is one GEMM over all of them.
+    Otherwise (no_grad, or nothing requires grad) it fills and contracts at
+    most _COLS_BYTES of columns at a time. Each sample is its own GEMM with
+    the same operands either way, so both paths give the same bytes.
     """
 
     def __init__(
@@ -106,20 +116,22 @@ class Conv2d:
 
         xp = np.zeros((c, n, h + 2 * p, w + 2 * p), x.dtype)  # channel-major, zero border
         xp[:, :, p : p + h, p : p + w] = x.data.transpose(1, 0, 2, 3)
-        win = _windows(k, s, ho, wo)
-        cols = np.empty((c, k * k, n, ho, wo), x.dtype)
-        for i, v in enumerate(win):
-            cols[:, i] = xp[v]
-        cols = cols.reshape(c * k * k, n, ho * wo)
-        w2 = weight.data.reshape(oc, c * k * k)
-        out = np.matmul(w2, cols.transpose(1, 0, 2))  # GEMM per sample; C order fixes g.sum's order
+        win, ckk = _windows(k, s, ho, wo), c * k * k
+        m = n if recording((x, weight, bias)) else min(n, max(1, _COLS_BYTES // (ckk * ho * wo * xp.itemsize)))
+        buf, w2 = np.empty(ckk * m * ho * wo, x.dtype), weight.data.reshape(oc, ckk)
+        out = np.empty((n, oc, ho * wo), np.result_type(w2, xp))  # C order fixes g.sum's order
+        for j in range(0, n, max(m, 1)):
+            xj, cols = xp[:, j : j + m], buf[: ckk * min(m, n - j) * ho * wo].reshape(c, k * k, -1, ho, wo)
+            for i, v in enumerate(win):
+                cols[:, i] = xj[v]
+            cols = cols.reshape(ckk, -1, ho * wo)
+            np.matmul(w2, cols.transpose(1, 0, 2), out=out[j : j + m])  # one GEMM per sample
         out += bias.data[:, None]
-        out = out.reshape(n, oc, ho, wo)
 
         def backward(g):
             g2 = g.reshape(n, oc, ho * wo)
             gt = g2.transpose(1, 0, 2).reshape(oc, n * ho * wo)
-            weight.accumulate_grad(np.dot(cols.reshape(c * k * k, -1), gt.T).T.reshape(weight.shape))
+            weight.accumulate_grad(np.dot(buf.reshape(ckk, -1), gt.T).T.reshape(weight.shape))
             bias.accumulate_grad(g2.sum(axis=(0, 2)))
             if x.requires_grad:
                 dpatches = np.matmul(w2.T, g2).reshape(n, c, k * k, ho, wo)
@@ -128,7 +140,7 @@ class Conv2d:
                     np.add(dxp[v], dpatches[:, :, i], out=dxp[v])
                 x.accumulate_grad(dxp[:, :, p : p + h, p : p + w])
 
-        return Tensor.from_op(out, (x, weight, bias), backward)
+        return Tensor.from_op(out.reshape(n, oc, ho, wo), (x, weight, bias), backward)
 
     __call__ = forward
 

@@ -86,6 +86,16 @@ def test_truncation_reports_offset(tmp_path):
             read_checkpoint(cut)
 
 
+def test_zero_dim_beside_huge_dims_is_a_checkpoint_error(tmp_path):
+    # the value count is 0, so nothing is truncated, but numpy refuses the
+    # shape: the product of the other dims overflows its size limit
+    path = tmp_path / "dims.bct1"
+    dims = (0, 0xFFFFFFFF, 0xFFFFFFFF)
+    path.write_bytes(MAGIC + struct.pack("<II", 1, 1) + b"a" + struct.pack("<4I", 3, *dims))
+    with pytest.raises(CheckpointError, match="at byte 17"):
+        read_checkpoint(path)
+
+
 def test_trailing_bytes_rejected(tmp_path):
     path = tmp_path / "pad.bct1"
     save_checkpoint({"w": np.ones(2, dtype=np.float32)}, path)

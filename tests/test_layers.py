@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import bct.layers
 from bct.layers import (
     Activation,
     Conv2d,
@@ -15,7 +18,7 @@ from bct.layers import (
     softmax,
 )
 from bct.rng import Rng
-from bct.tensor import ShapeError, Tensor
+from bct.tensor import ShapeError, Tensor, no_grad
 
 from conftest import check_gradients
 
@@ -578,6 +581,91 @@ def test_pool_backward_into_an_existing_gradient(dtype, k, stride):
     want = accumulated(prev)
     want += ref_pool(x, k, stride, g)[1]
     assert_same_bytes(xt.grad, want)
+
+
+# ---- no-grad conv forwards stream their im2col columns ----
+#
+# A forward that no backward reads fills and contracts at most _COLS_BYTES of
+# columns at a time. The tests shrink the limit to CHUNK samples' columns, so
+# each batch spans several chunks and ends on a short one, and spy on
+# np.matmul to see the chunk sizes the forward really used.
+
+CHUNK = 3
+CHUNKED_CONVS = [  # (n, c, oc, size, k, stride, padding)
+    (5, 3, 8, 64, 3, 1, 1),  # desk conv1, chunks 3 + 2
+    (16, 8, 16, 33, 3, 2, 0),  # stride 2, padding 0, chunks 5 * 3 + 1
+    (20, 4, 8, 20, 5, 1, 2),  # 5x5 kernel, chunks 6 * 3 + 2
+]
+
+
+@pytest.fixture
+def chunk_sizes(monkeypatch):
+    """Shrink _COLS_BYTES to CHUNK samples of a conv; returns (set_limit, sizes of each forward GEMM stack)."""
+    sizes, real = [], np.matmul
+
+    def spy(a, b, **kw):
+        sizes.append(kw["out"].shape[0] if "out" in kw else None)
+        return real(a, b, **kw)
+
+    def set_limit(c, k, ho, wo, dtype):
+        monkeypatch.setattr(bct.layers, "_COLS_BYTES", CHUNK * c * k * k * ho * wo * np.dtype(dtype).itemsize)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    return set_limit, sizes
+
+
+def chunked_conv(rng, dtype, n, c, oc, size, k, stride, padding):
+    x = rng.standard_normal((n, c, size, size)).astype(dtype)
+    w = (rng.standard_normal((oc, c, k, k)) * 0.3).astype(dtype)
+    b = rng.standard_normal(oc).astype(dtype)
+    return Conv2d(c, oc, k, stride=stride, padding=padding, weight=w, bias=b, dtype=dtype), x
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("n, c, oc, size, k, stride, padding", CHUNKED_CONVS)
+def test_no_grad_conv_chunks_give_the_recorded_bytes(chunk_sizes, dtype, n, c, oc, size, k, stride, padding):
+    set_limit, sizes = chunk_sizes
+    conv, x = chunked_conv(np.random.default_rng(n), dtype, n, c, oc, size, k, stride, padding)
+    set_limit(c, k, *conv.out_shape(size, size), dtype)
+    recorded = conv(Tensor(x, dtype=dtype))
+    assert recorded.requires_grad and sizes == [n]  # the weights require grad: one chunk
+    chunks = [CHUNK] * (n // CHUNK) + [n % CHUNK]
+    sizes.clear()
+    with no_grad():
+        streamed = conv(Tensor(x, dtype=dtype))
+    assert sizes == chunks
+    assert_same_bytes(streamed.data, recorded.data)
+    for t in conv.params().values():
+        t.requires_grad = False  # nothing to record, even with grad enabled
+    sizes.clear()
+    frozen = conv(Tensor(x, dtype=dtype))
+    assert not frozen.requires_grad and sizes == chunks
+    assert_same_bytes(frozen.data, recorded.data)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("n, c, oc, size, k, stride, padding", CHUNKED_CONVS)
+def test_recorded_conv_keeps_full_columns_under_a_small_limit(chunk_sizes, dtype, n, c, oc, size, k, stride, padding):
+    set_limit, sizes = chunk_sizes
+    set_limit(c, k, *Conv2d(c, oc, k, stride, padding, rng=Rng(0)).out_shape(size, size), dtype)
+    check_conv(np.random.default_rng(size), dtype, n, c, oc, size, k, stride, padding)
+    assert sizes[0] == n and set(sizes[1:]) == {None}  # one forward GEMM stack; then dx's and the oracle's
+
+
+def test_no_grad_conv_peak_memory_stays_below_full_columns():
+    # desk's eval batch at conv1: the whole batch's columns alone are 27 MiB
+    n, c, oc, size = 64, 3, 8, 64
+    conv = Conv2d(c, oc, 3, padding=1, rng=Rng(0))
+    x = Tensor(np.random.default_rng(0).standard_normal((n, c, size, size)).astype(np.float32))
+    full_cols = c * 9 * n * size * size * 4
+    tracemalloc.start()
+    try:
+        with no_grad():
+            conv(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < full_cols, f"traced peak {peak / 2**20:.1f} MiB"
 
 
 # ---- pool before activating ----
