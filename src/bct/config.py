@@ -87,7 +87,8 @@ class TrainConfig:
             raise ConfigError(f"train.loss_threshold must be > 0, got {self.loss_threshold}")
         if self.image_size < 2:
             raise ConfigError(f"data.image_size must be >= 2, got {self.image_size}")
-        if len(self.ratios) != 3 or min(self.ratios) < 0 or abs(sum(self.ratios) - 1) > 1e-9:
+        r = self.ratios  # the comparisons are written so that NaN fails them
+        if len(r) != 3 or not all(x >= 0 for x in r) or not abs(sum(r) - 1) <= 1e-9:
             raise ConfigError(f"data.ratios must be three non-negative values summing to 1, got {self.ratios}")
 
     def split_seed(self) -> int:
@@ -214,8 +215,12 @@ def read_config_file(path) -> list[tuple[str, str, int]]:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file {path} does not exist")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"config file {path} is not UTF-8 text ({e})") from e
     out = []
-    for ln, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for ln, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

@@ -7,6 +7,7 @@ flows through the seeded splitmix64 streams, so identical inputs reproduce
 identical bytes everywhere.
 """
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -216,9 +217,9 @@ def _check_ratios(ratios) -> tuple:
     if len(ratios) != 3:
         raise ConfigError(f"need three split ratios, got {len(ratios)}")
     r = tuple(float(x) for x in ratios)
-    if min(r) < 0:
+    if not all(x >= 0 for x in r):  # written so that NaN fails too
         raise ConfigError(f"split ratios must be non-negative, got {r}")
-    if abs(sum(r) - 1.0) > 1e-9:
+    if not abs(sum(r) - 1.0) <= 1e-9:
         raise ConfigError(f"split ratios must sum to 1, got {r} (sum {sum(r)})")
     return r
 
@@ -312,10 +313,14 @@ def load_manifest(root) -> DatasetManifest:
     path = Path(root) / MANIFEST_NAME
     if not path.is_file():
         raise DataError(f"{root}: no {MANIFEST_NAME}; run scan (or synth) first")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not UTF-8 text ({e})") from e
     header: dict[str, str] = {}
     entries = []
     in_header = True
-    for ln, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for ln, line in enumerate(text.splitlines(), start=1):
         if in_header:
             if not line.strip():
                 in_header = False
@@ -337,6 +342,10 @@ def load_manifest(root) -> DatasetManifest:
         ratios = tuple(float(x) for x in header["ratios"].split(","))
     except (KeyError, ValueError) as e:
         raise DataError(f"{path}: bad or missing header field ({e})") from e
+    if len(ratios) != 3 or not all(math.isfinite(r) for r in ratios):
+        raise DataError(f"{path}: ratios must be three numbers, got {header['ratios']!r}")
+    if image_size < 1:
+        raise DataError(f"{path}: image_size must be >= 1, got {image_size}")
     return DatasetManifest(Path(root), image_size, ratios, seed, entries)
 
 

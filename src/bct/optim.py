@@ -120,16 +120,18 @@ class Optimizer:
             p.grad = None
 
     def step(self) -> None:
-        """Update the unfrozen runs of the store; a bad gradient changes nothing, t included."""
+        """Update the unfrozen runs of the store; a bad gradient changes nothing, t included.
+
+        An update that leaves a non-finite value raises NumericError after it
+        is applied, naming the first such parameter.
+        """
         for name in self.trainable_names():
             p = self.params[name]
             if p.grad is None:
                 raise ValueError(f"optimizer step: parameter {name!r} has no gradient")
             if p.grad is not p.grad_view:  # assigned by the caller, not written by backward()
                 p.grad_view[...] = p.grad
-        if not all(np.isfinite(self.flat_grad[run]).all() for run in self.runs):
-            bad = [n for n in self.trainable_names() if not np.isfinite(self.params[n].grad_view).all()]
-            raise NumericError(f"non-finite gradient in parameter {bad[0]!r}")
+        self._check_finite(self.flat_grad, "gradient")
         self.t += 1
         cfg, dt = self.config, self.flat_data.dtype.type
         lr, b1, b2, eps = cfg.resolved_lr(), cfg.beta1, cfg.beta2, cfg.epsilon
@@ -152,3 +154,10 @@ class Optimizer:
                 w -= dt(lr) * m_hat
             else:
                 w -= dt(lr * r_t) * m_hat / (np.sqrt(v / dt(bc2)) + dt(eps))
+        self._check_finite(self.flat_data, "value after the update")
+
+    def _check_finite(self, flat: np.ndarray, what: str) -> None:
+        """Raise NumericError naming the first trainable parameter whose span of flat is not finite."""
+        if not all(np.isfinite(flat[run]).all() for run in self.runs):
+            bad = next(n for n in self.trainable_names() if not np.isfinite(flat[self.spans[n]]).all())
+            raise NumericError(f"non-finite {what} in parameter {bad!r}")

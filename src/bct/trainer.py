@@ -11,6 +11,8 @@ checked against the full train split at each epoch end: accuracy >=
 acc_threshold and per-sample mean loss <= loss_threshold.
 """
 
+import ctypes
+import functools
 import json
 import math
 import time
@@ -29,6 +31,12 @@ from .metrics import ConfusionCounts, MetricReport, compute_metrics, count_batch
 from .optim import Optimizer
 from .staging import StagedDriver, make_paradigm, pretrain_source
 from .tensor import no_grad
+
+# glibc mallopt parameters and the values train() sets: arrays up to 32 MiB come
+# from the heap, and free() trims no heap top until 1 GiB of it is unused
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD_BYTES = 32 << 20  # DEFAULT_MMAP_THRESHOLD_MAX, glibc's documented cap on 64-bit
+_TRIM_THRESHOLD_BYTES = 1 << 30
 
 
 @dataclass
@@ -114,11 +122,35 @@ def evaluate(model: Model, samples, batch_size: int = 64) -> tuple[ConfusionCoun
     return counts, compute_metrics(counts)
 
 
+@functools.cache
+def _keep_freed_pages() -> None:
+    """Keep freed pages in the heap (glibc); a no-op where libc has no mallopt.
+
+    The pages a step frees are then reused by the next step instead of being
+    unmapped and faulted back in.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+    except (OSError, AttributeError, TypeError):
+        pass
+
+
 def train(config: TrainConfig, echo: dict | None = None, progress=None) -> RunLog:
     """Run one full training per the config; write outputs if out_dir is set.
 
     progress, if given, is called with each EpochRecord as it lands.
+
+    Memory: each step's autodiff graph (activations, im2col columns, backward
+    closures) is freed right after its optimizer step, before the next
+    forward or the train-eval pass allocates, so at most one graph is alive.
+    On glibc the first call also sets the process's malloc thresholds (see
+    _keep_freed_pages) so freed pages stay in the heap for the next step;
+    the process RSS then stays at its high-water mark after train() returns.
     """
+    _keep_freed_pages()
     config.validate()
     if not config.data_root:
         raise ConfigError("data.root is required for training")
@@ -157,6 +189,7 @@ def train(config: TrainConfig, echo: dict | None = None, progress=None) -> RunLo
                 optimizer.step()
             except NumericError as e:
                 raise NumericError(f"{e} at epoch {epoch}, batch {bi}") from e
+            del scores, loss  # free this step's graph before the next forward builds one
 
         train_loss, train_counts = eval_split(model, train_samples, eval_loss_fn)
         train_acc = (train_counts.tp + train_counts.tn) / train_counts.total

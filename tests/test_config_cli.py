@@ -42,6 +42,12 @@ class TestConfigFiles:
         with pytest.raises(ConfigError, match="does not exist"):
             build_config(str(tmp_path / "absent.conf"))
 
+    def test_file_that_is_not_utf8_is_a_config_error(self, tmp_path):
+        path = tmp_path / "run.conf"
+        path.write_bytes(b"train.seed = 1\n\xff\n")
+        with pytest.raises(ConfigError, match=r"run\.conf is not UTF-8"):
+            build_config(str(path))
+
     def test_syntax_error_cites_line(self, tmp_path):
         path = write_config(tmp_path, "train.seed = 1\njust some words\n")
         with pytest.raises(ConfigError, match=r"run\.conf:2.*key = value"):
@@ -75,6 +81,11 @@ class TestConfigFiles:
         path = write_config(tmp_path, "paradigm.kind = tl\n")
         with pytest.raises(ConfigError, match="model.kind = backbone"):
             build_config(path)
+
+    @pytest.mark.parametrize("ratios", ["nan,0.5,0.5", "0.5,nan,0.5", "inf,0,0"])
+    def test_non_finite_ratios_are_rejected(self, ratios):
+        with pytest.raises(ConfigError, match="data.ratios must be three non-negative values"):
+            build_config(None, [("data.ratios", ratios)])
 
     def test_flatten_round_trips(self):
         config = build_config(None, [

@@ -190,6 +190,9 @@ class TestSplits:
             scan_dataset(tmp_path, ratios=(0.5, 0.5, 0.2))
         with pytest.raises(ConfigError):
             scan_dataset(tmp_path, ratios=(1.2, -0.1, -0.1))
+        for bad in ((float("nan"), 0.5, 0.5), (0.5, float("nan"), 0.5), (float("inf"), 0.0, 0.0)):
+            with pytest.raises(ConfigError):
+                scan_dataset(tmp_path, ratios=bad)
 
     def test_missing_class_dir(self, tmp_path):
         (tmp_path / "class0").mkdir()
@@ -211,6 +214,33 @@ class TestSplits:
         assert back.image_size == 8
         assert back.ratios == (0.5, 0.25, 0.25)
         assert back.seed == 9
+
+    @pytest.mark.parametrize(
+        "header, match",
+        [
+            ("ratios = 1", "three numbers"),
+            ("ratios = 0.5,0.5", "three numbers"),
+            ("ratios = 0.5,0.25,0.25,0", "three numbers"),
+            ("ratios = nan,0.5,0.5", "three numbers"),
+            ("image_size = 0", "image_size must be >= 1"),
+        ],
+        ids=["one_ratio", "two_ratios", "four_ratios", "nan_ratio", "image_size_0"],
+    )
+    def test_manifest_header_values_are_checked(self, tmp_path, header, match):
+        synth_generate(tmp_path, n_per_class=2, seed=0, image_size=8)
+        path = tmp_path / MANIFEST_NAME
+        key = header.split(" ")[0]
+        lines = [header if line.startswith(key + " ") else line for line in path.read_text().splitlines()]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=match):
+            load_manifest(tmp_path)
+
+    def test_manifest_that_is_not_utf8_is_a_data_error(self, tmp_path):
+        synth_generate(tmp_path, n_per_class=2, seed=0, image_size=8)
+        path = tmp_path / MANIFEST_NAME
+        path.write_bytes(path.read_bytes() + b"\xff\n")
+        with pytest.raises(DataError, match=MANIFEST_NAME):
+            load_manifest(tmp_path)
 
     def test_class_balance_counts(self, tmp_path):
         m = synth_generate(tmp_path, n_per_class=10, seed=2, image_size=8)

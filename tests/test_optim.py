@@ -415,3 +415,17 @@ def test_non_finite_gradient_raises_before_any_update(bad):
     opt.set_freeze(["dense1.bias", "head.weight"])
     opt.step()
     assert np.isfinite(opt.flat_data).all()
+
+
+def test_update_that_overflows_names_the_parameter():
+    # finite gradients, but lr * grad overflows float32: the weights become -inf
+    ok = Tensor(np.ones(2), requires_grad=True, dtype=np.float32)
+    w = Tensor(np.ones(3), requires_grad=True, dtype=np.float32)
+    opt = Optimizer({"ok": ok, "w": w}, OptimizerConfig(kind="sgd", learning_rate=1e38))
+    ok.grad, w.grad = np.zeros(2, np.float32), np.full(3, 10.0, np.float32)
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match="non-finite value after the update in parameter 'w'"):
+        opt.step()
+    assert np.isneginf(w.data).all() and (ok.data == 1).all()
+    # a frozen non-finite parameter is not checked: it is never updated
+    opt.set_freeze(["w"])
+    opt.step()

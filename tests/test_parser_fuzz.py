@@ -1,8 +1,10 @@
-"""Malformed-input fuzzing of the two binary parsers, read_checkpoint and read_ppm.
+"""Malformed-input fuzzing of the four input parsers: read_checkpoint,
+read_ppm, load_manifest and the config file reader (via build_config).
 
 Each valid file is cut at every offset, then put through a fixed set of
 seeded 1-3 byte overwrites. Every case must parse or raise the parser's own
-error (CheckpointError, DataError); any other exception is a parser bug.
+error (CheckpointError, DataError, ConfigError); any other exception is a
+parser bug.
 """
 
 import random
@@ -11,8 +13,9 @@ import numpy as np
 import pytest
 
 from bct.checkpoint import CheckpointError, read_checkpoint, save_checkpoint
-from bct.data import read_ppm, write_ppm
-from bct.errors import DataError
+from bct.config import build_config
+from bct.data import MANIFEST_NAME, DatasetManifest, load_manifest, read_ppm, save_manifest, write_ppm
+from bct.errors import ConfigError, DataError
 
 N_FLIPS = 2000
 
@@ -44,20 +47,50 @@ def valid_ppm(path):
     write_ppm(path, np.arange(4 * 3 * 3, dtype=np.uint8).reshape(4, 3, 3))
 
 
+def valid_manifest(path):
+    entries = [(f"class{i % 2}/img_{i:03d}.ppm", i % 2, ("train", "val", "test")[i % 3]) for i in range(6)]
+    save_manifest(DatasetManifest(path.parent, 64, (0.8, 0.1, 0.1), 7, entries))
+
+
+def manifest_in(path):
+    return load_manifest(path.parent)
+
+
+def valid_config(path):
+    path.write_text(
+        "# a desk-like run\n"
+        "data.root = data/desk\n"
+        "data.image_size = 64\n"
+        "data.ratios = 0.8,0.1,0.1\n"
+        "model.channels = 8,16,32\n"
+        "loss.kind = focal\n"
+        "loss.gamma = 2\n"
+        "optim.kind = adam\n"
+        "optim.learning_rate = 0.001\n"
+        "train.batch_size = 16\n"
+        "train.seed = 0\n",
+        encoding="utf-8",
+    )
+
+
 @pytest.mark.parametrize(
-    "write_valid, parse, allowed",
+    "name, write_valid, parse, allowed",
     [
-        (valid_checkpoint, read_checkpoint, CheckpointError),
-        (valid_ppm, read_ppm, DataError),
+        ("valid.bct1", valid_checkpoint, read_checkpoint, CheckpointError),
+        ("valid.ppm", valid_ppm, read_ppm, DataError),
+        (MANIFEST_NAME, valid_manifest, manifest_in, DataError),
+        ("run.cfg", valid_config, build_config, ConfigError),
     ],
-    ids=["read_checkpoint", "read_ppm"],
+    ids=["read_checkpoint", "read_ppm", "load_manifest", "build_config"],
 )
-def test_malformed_files_parse_or_raise_the_parsers_error(tmp_path, write_valid, parse, allowed):
-    path = tmp_path / "valid"
+def test_malformed_files_parse_or_raise_the_parsers_error(tmp_path, name, write_valid, parse, allowed):
+    (tmp_path / "valid").mkdir()
+    (tmp_path / "case").mkdir()
+    path = tmp_path / "valid" / name
     write_valid(path)
     raw = path.read_bytes()
     parse(path)  # the unmodified file parses
-    case_path = tmp_path / "case"
+    case_path = tmp_path / "case" / name
     crashes, rejected = [], 0
     for label, data in mutants(raw, random.Random(0)):
         case_path.write_bytes(data)
@@ -68,4 +101,6 @@ def test_malformed_files_parse_or_raise_the_parsers_error(tmp_path, write_valid,
         except Exception as e:  # noqa: BLE001 - anything else is the finding
             crashes.append(f"{label}: {type(e).__name__}: {e}")
     assert not crashes, f"{len(crashes)} cases escaped {allowed.__name__}, first: {crashes[:3]}"
-    assert rejected >= len(raw)  # every truncation is rejected, and then some flips
+    # binary files reject every truncation; text files parse when cut at a line end,
+    # but most of their flips break the UTF-8, a value or a header
+    assert rejected >= len(raw)

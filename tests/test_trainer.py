@@ -6,6 +6,8 @@ well under a second; the full-scale behavior lives in test_acceptance.py.
 
 import json
 import math
+import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from bct.checkpoint import read_checkpoint
 from bct.config import ModelConfig, TrainConfig
 from bct.data import synth_generate
 from bct.errors import ConfigError, DataError, NumericError
+from bct.layers import Model
 from bct.staging import pretrain_source
 from bct.tensor import Tensor
 from bct.trainer import EpochRecord, RunLog, check_convergence, run_ablation, runlog_csv, train
@@ -119,6 +122,64 @@ class TestTrainLoop:
         # ties resolve to the earliest epoch that reached the best value
         assert log.best_epoch == recorded.index(best) + 1
         assert log.best_state is not None
+
+
+class TestStepMemory:
+    def test_each_steps_graph_is_freed_before_the_next_forward(self, dataset, monkeypatch):
+        # weakrefs into the last training step's graph: its scores' array, and the
+        # backward closures of scores and loss, which hold the rest of the tape
+        real_forward, real_make_loss = Model.forward, trainer.make_loss
+        alive, checks = [], []
+
+        def forward(self, x):
+            if alive:  # the next step's forward, or the train-eval pass after the last step
+                checks.append(sum(r() is not None for r in alive))
+                alive.clear()
+            scores = real_forward(self, x)
+            if scores.requires_grad:
+                alive.extend([weakref.ref(scores.data), weakref.ref(scores._backward)])
+            return scores
+
+        def make_loss(spec):
+            real = real_make_loss(spec)
+
+            def loss_fn(s, t):
+                loss = real(s, t)
+                if loss.requires_grad:
+                    alive.append(weakref.ref(loss._backward))
+                return loss
+
+            return loss_fn
+
+        monkeypatch.setattr(Model, "forward", forward)
+        monkeypatch.setattr(Model, "__call__", forward)
+        monkeypatch.setattr(trainer, "make_loss", make_loss)
+        train(small_config(dataset))
+        steps = 2 * math.ceil(len(trainer.load_split(small_config(dataset).manifest(), "train")) / 8)
+        assert checks == [0] * steps  # every step checked, none of its graph still alive
+
+    def test_allocator_settings_fall_back_silently(self, monkeypatch):
+        keep = trainer._keep_freed_pages.__wrapped__  # uncached: each call really runs
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        monkeypatch.setattr(trainer.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+        keep()
+        assert calls == [(-3, 32 << 20), (-1, 1 << 30)]
+
+        def no_libc(name):
+            raise OSError("no C library")
+
+        for cdll in (no_libc, lambda name: object()):  # no libc; a libc without mallopt
+            monkeypatch.setattr(trainer.ctypes, "CDLL", cdll)
+            keep()
+            keep()
+        monkeypatch.undo()
+        trainer._keep_freed_pages()
+        trainer._keep_freed_pages()
 
 
 class TestTinySplits:
