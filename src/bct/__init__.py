@@ -5,7 +5,7 @@ losses, three optimizers, staged transfer-learning schedules, and a CLI for
 running reproducible experiments on binary building-image datasets.
 """
 
-from .tensor import Tensor, Tape, no_grad, ShapeError, DomainError
+from .tensor import Tensor, no_grad, ShapeError, DomainError
 from .rng import Rng, derive
 from .layers import (
     Conv2d,

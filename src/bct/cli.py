@@ -165,10 +165,29 @@ def cmd_ablate(args) -> int:
 
 
 def _read_runlog(path: Path) -> list:
+    """The rows of a runlog.csv as raw strings, once every field read from them parses."""
     if not path.is_file():
         raise DataError(f"{path} does not exist")
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
+    rows = []
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            fields = ("epoch", "stage", "train_loss", "train_acc", "val_acc")
+            missing = [f for f in fields if f not in (reader.fieldnames or ())]
+            if missing:
+                raise DataError(f"{path}:1: no column {', '.join(missing)}")
+            for row in reader:
+                try:
+                    if None in row or None in row.values():
+                        raise ValueError(f"expected {len(reader.fieldnames)} fields")
+                    int(row["epoch"]), int(row["stage"]), float(row["val_acc"])
+                    if not all(math.isfinite(float(row[f])) for f in ("train_loss", "train_acc")):
+                        raise ValueError("train_loss and train_acc must be finite")
+                except ValueError as e:
+                    raise DataError(f"{path}:{reader.line_num}: {e}") from e
+                rows.append(row)
+    except (UnicodeDecodeError, csv.Error) as e:
+        raise DataError(f"{path}: not a UTF-8 CSV file ({e})") from e
     if not rows:
         raise DataError(f"{path}: no epochs recorded")
     return rows
@@ -247,7 +266,10 @@ def cmd_inspect(args) -> int:
     elif path.suffix == ".csv" and path.name.startswith("runlog"):
         _inspect_runlog(path)
     elif path.suffix in (".json", ".jsonl"):
-        sys.stdout.write(path.read_text(encoding="utf-8"))
+        try:
+            sys.stdout.write(path.read_text(encoding="utf-8"))
+        except UnicodeDecodeError as e:
+            raise DataError(f"{path}: not UTF-8 text ({e})") from e
     else:
         raise DataError(f"{path}: not a checkpoint, PPM, manifest, or runlog")
     return 0

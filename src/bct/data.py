@@ -318,6 +318,8 @@ def load_manifest(root) -> DatasetManifest:
     except UnicodeDecodeError as e:
         raise DataError(f"{path}: not UTF-8 text ({e})") from e
     header: dict[str, str] = {}
+    key_lines: dict[str, int] = {}  # header key -> the line that set it
+    id_lines: dict[str, int] = {}  # image id -> the row that lists it
     entries = []
     in_header = True
     for ln, line in enumerate(text.splitlines(), start=1):
@@ -328,13 +330,20 @@ def load_manifest(root) -> DatasetManifest:
             key, _, value = line.partition("=")
             if not _:
                 raise DataError(f"{path}:{ln}: expected 'key = value', got {line!r}")
-            header[key.strip()] = value.strip()
+            key = key.strip()
+            if key in key_lines:
+                raise DataError(f"{path}:{ln}: duplicate key {key!r}, first set on line {key_lines[key]}")
+            key_lines[key] = ln
+            header[key] = value.strip()
         else:
             if not line.strip():
                 continue
             parts = line.split("\t")
             if len(parts) != 3 or parts[1] not in ("0", "1") or parts[2] not in SPLITS:
                 raise DataError(f"{path}:{ln}: malformed record {line!r}")
+            if parts[0] in id_lines:
+                raise DataError(f"{path}:{ln}: image {parts[0]!r} already listed on line {id_lines[parts[0]]}")
+            id_lines[parts[0]] = ln
             entries.append((parts[0], int(parts[1]), parts[2]))
     try:
         image_size = int(header["image_size"])

@@ -1,8 +1,8 @@
 """Error taxonomy surfaced through the CLI exit codes.
 
 ConfigError -> exit 2, DataError -> exit 3, NumericError -> exit 4.
-Tensor-level ShapeError/DomainError live in bct.tensor; they indicate
-programming errors rather than bad user input and are not caught by the CLI.
+ShapeError and DomainError (``**``, the loss checks) live in bct.tensor; they
+flag programming errors, not bad user input, and the CLI does not catch them.
 """
 
 

@@ -5,11 +5,14 @@ ops build new tensors that remember their parents and a backward closure;
 ``backward()`` on a scalar walks the recorded graph once in reverse
 topological order, accumulating gradients additively so fan-out just works.
 
+The ops: ``+`` and ``*`` (with a tensor or a python scalar), ``**`` (python
+scalar exponent), ``sum`` and ``reshape``; ``argmax`` and ``item`` read values
+without recording. Layers and losses record their own nodes via ``from_op``.
+
 Conventions fixed here and relied on throughout the package:
   * dtype is float32 unless float64 is requested explicitly; binary ops
     require matching dtypes (scalars adopt the tensor's dtype)
   * argmax ties resolve to the lowest index
-  * clamp passes gradient through at the boundaries (mask includes equality)
   * forward ops never mutate their inputs
   * tensors own their storage, except the parameters of an Optimizer's
     registry: their data and first gradient are views into its flat buffers
@@ -25,7 +28,7 @@ class ShapeError(ValueError):
 
 
 class DomainError(ValueError):
-    """An op was evaluated outside its numeric domain (log of <= 0, etc.)."""
+    """An op left its numeric domain: a non-finite ``**`` result, or bad loss inputs."""
 
 
 _grad_enabled = True
@@ -119,9 +122,8 @@ class Tensor:
             raise ShapeError(f"backward() root must be scalar, got shape {self.shape}")
         if not self.requires_grad:
             raise ValueError("backward() on a tensor that does not require grad")
-        tape = Tape.from_root(self)
         self.grad = np.ones_like(self.data)
-        for node in reversed(tape.nodes):
+        for node in reversed(topo_order(self)):
             if node._backward is not None:
                 node._backward(node.grad)
 
@@ -157,27 +159,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        ot, od = self._coerce(other, "sub")
-        out_data = self.data - od
-        parents = (self,) if ot is None else (self, ot)
-
-        def backward(g):
-            self.accumulate_grad(g)
-            if ot is not None:
-                ot.accumulate_grad(-g)
-
-        return Tensor.from_op(out_data, parents, backward)
-
-    def __rsub__(self, other):
-        _, od = self._coerce(other, "sub")
-        out_data = od - self.data
-
-        def backward(g):
-            self.accumulate_grad(-g)
-
-        return Tensor.from_op(out_data, (self,), backward)
-
     def __mul__(self, other):
         ot, od = self._coerce(other, "mul")
         out_data = self.data * od
@@ -193,41 +174,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        ot, od = self._coerce(other, "div")
-        if np.any(od == 0):
-            raise DomainError("div: division by zero")
-        out_data = self.data / od
-        parents = (self,) if ot is None else (self, ot)
-        a_data = self.data
-
-        def backward(g):
-            self.accumulate_grad(g / od)
-            if ot is not None:
-                ot.accumulate_grad(-g * a_data / (od * od))
-
-        return Tensor.from_op(out_data, parents, backward)
-
-    def __rtruediv__(self, other):
-        _, od = self._coerce(other, "div")
-        if np.any(self.data == 0):
-            raise DomainError("div: division by zero")
-        out_data = od / self.data
-        a_data = self.data
-
-        def backward(g):
-            self.accumulate_grad(-g * od / (a_data * a_data))
-
-        return Tensor.from_op(out_data, (self,), backward)
-
-    def __neg__(self):
-        out_data = -self.data
-
-        def backward(g):
-            self.accumulate_grad(-g)
-
-        return Tensor.from_op(out_data, (self,), backward)
-
     def __pow__(self, exponent):
         if not isinstance(exponent, (int, float)):
             raise TypeError("pow: exponent must be a python scalar")
@@ -241,43 +187,6 @@ class Tensor:
             if e == 0.0:
                 return
             self.accumulate_grad(g * self.dtype.type(e) * a_data ** self.dtype.type(e - 1.0))
-
-        return Tensor.from_op(out_data, (self,), backward)
-
-    def clamp(self, lo: float, hi: float):
-        """Clip to [lo, hi]; gradient passes through wherever lo <= x <= hi."""
-        if not lo <= hi:
-            raise ValueError(f"clamp: need lo <= hi, got [{lo}, {hi}]")
-        a_data = self.data
-        out_data = np.clip(a_data, self.dtype.type(lo), self.dtype.type(hi))
-        inside = (a_data >= lo) & (a_data <= hi)
-
-        def backward(g):
-            self.accumulate_grad(g * inside)
-
-        return Tensor.from_op(out_data, (self,), backward)
-
-    # ---- unary transcendental ----
-
-    def log(self):
-        a_data = self.data
-        if np.any(a_data <= 0):
-            raise DomainError("log: input must be strictly positive")
-        out_data = np.log(a_data)
-
-        def backward(g):
-            self.accumulate_grad(g / a_data)
-
-        return Tensor.from_op(out_data, (self,), backward)
-
-    def exp(self):
-        with np.errstate(over="ignore"):  # overflow becomes the error below
-            out_data = np.exp(self.data)
-        if not np.all(np.isfinite(out_data)):
-            raise DomainError("exp: overflow to non-finite value")
-
-        def backward(g):
-            self.accumulate_grad(g * out_data)
 
         return Tensor.from_op(out_data, (self,), backward)
 
@@ -296,26 +205,6 @@ class Tensor:
             self.accumulate_grad(g.reshape(old_shape))
 
         return Tensor.from_op(out_data, (self,), backward)
-
-    def matmul(self, other):
-        if not isinstance(other, Tensor):
-            raise TypeError("matmul: operand must be a Tensor")
-        if other.dtype != self.dtype:
-            raise TypeError(f"matmul: mixed dtypes {self.dtype.name} vs {other.dtype.name}")
-        if self.ndim != 2 or other.ndim != 2:
-            raise ShapeError("matmul: both operands must be 2-D")
-        if self.shape[1] != other.shape[0]:
-            raise ShapeError(f"matmul: inner dims differ, {self.shape} @ {other.shape}")
-        a, b = self, other
-        out_data = a.data @ b.data
-
-        def backward(g):
-            a.accumulate_grad(g @ b.data.T)
-            b.accumulate_grad(a.data.T @ g)
-
-        return Tensor.from_op(out_data, (a, b), backward)
-
-    __matmul__ = matmul
 
     # ---- reductions ----
 
@@ -346,32 +235,22 @@ class Tensor:
         return np.argmax(self.data, axis=axis)
 
 
-class Tape:
-    """Topologically ordered op record for one backward pass.
-
-    nodes[i] appears after every tensor it depends on, so a single reversed
-    walk sees each node's output gradient fully accumulated before use.
-    """
-
-    def __init__(self, nodes: list):
-        self.nodes = nodes
-
-    @classmethod
-    def from_root(cls, root: Tensor) -> "Tape":
-        # iterative post-order DFS: robust against deep op chains
-        nodes: list[Tensor] = []
-        visited: set[int] = set()
-        stack: list[tuple[Tensor, int]] = [(root, 0)]
-        visited.add(id(root))
-        while stack:
-            node, child_i = stack[-1]
-            if child_i < len(node._parents):
-                stack[-1] = (node, child_i + 1)
-                child = node._parents[child_i]
-                if child.requires_grad and id(child) not in visited:
-                    visited.add(id(child))
-                    stack.append((child, 0))
-            else:
-                stack.pop()
-                nodes.append(node)
-        return cls(nodes)
+def topo_order(root: Tensor) -> list:
+    """The recorded graph under root, each node after every tensor it depends on,
+    so one reversed walk sees each node's output gradient fully accumulated."""
+    # iterative post-order DFS: robust against deep op chains
+    nodes: list[Tensor] = []
+    visited: set[int] = {id(root)}
+    stack: list[tuple[Tensor, int]] = [(root, 0)]
+    while stack:
+        node, child_i = stack[-1]
+        if child_i < len(node._parents):
+            stack[-1] = (node, child_i + 1)
+            child = node._parents[child_i]
+            if child.requires_grad and id(child) not in visited:
+                visited.add(id(child))
+                stack.append((child, 0))
+        else:
+            stack.pop()
+            nodes.append(node)
+    return nodes

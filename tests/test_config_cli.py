@@ -1,6 +1,7 @@
 """Config files, override precedence, and the command line surface."""
 
 import json
+import re
 
 import pytest
 
@@ -220,6 +221,31 @@ class TestExitCodes:
             "--model.channels", "2",
         ]) == 3
         assert "checkpoint error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("epoch,stage,train_loss,train_acc,val_acc\n1,1,abc,0.5,0.5\n", r":2: could not convert string to float: 'abc'"),
+            ("epoch,train_loss,train_acc,val_acc\n1,0.5,0.5,0.5\n", r":1: no column stage"),
+            ("epoch,stage,train_loss,train_acc,val_acc\n1,1,0.5,0.5,0.5\n2,x,0.5,0.5,0.5\n", r":3: invalid literal for int"),
+            ("epoch,stage,train_loss,train_acc,val_acc\n1,1,inf,0.5,nan\n", r":2: train_loss and train_acc must be finite"),
+            ("epoch,stage,train_loss,train_acc,val_acc\n1,1,0.5,0.5\n", r":2: expected 5 fields"),
+        ],
+        ids=["bad_float", "no_stage", "bad_int", "inf_loss", "short_row"],
+    )
+    def test_bad_runlog_is_3(self, tmp_path, capsys, text, match):
+        log = tmp_path / "runlog.csv"
+        log.write_text(text, encoding="utf-8")
+        for argv in (["plot", "--run", str(tmp_path)], ["inspect", str(log)]):
+            assert main(argv) == 3
+            err = capsys.readouterr().err
+            assert re.search(re.escape(str(log)) + match, err), err
+
+    def test_inspect_json_that_is_not_utf8_is_3(self, tmp_path, capsys):
+        path = tmp_path / "eval.jsonl"
+        path.write_bytes(b'{"split": "val"}\n\xff\n')
+        assert main(["inspect", str(path)]) == 3
+        assert "not UTF-8" in capsys.readouterr().err
 
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as err:

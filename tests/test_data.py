@@ -242,6 +242,28 @@ class TestSplits:
         with pytest.raises(DataError, match=MANIFEST_NAME):
             load_manifest(tmp_path)
 
+    def test_manifest_repeated_header_key_names_both_lines(self, tmp_path):
+        synth_generate(tmp_path, n_per_class=2, seed=0, image_size=8)
+        path = tmp_path / MANIFEST_NAME
+        lines = path.read_text().splitlines()
+        first = next(i for i, line in enumerate(lines, start=1) if line.startswith("seed "))
+        lines.insert(first, "seed = 5")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=rf"{MANIFEST_NAME}:{first + 1}: duplicate key 'seed', first set on line {first}$"):
+            load_manifest(tmp_path)
+
+    @pytest.mark.parametrize("same_split", [True, False], ids=["same_split", "other_split"])
+    def test_manifest_repeated_image_names_both_lines(self, tmp_path, same_split):
+        synth_generate(tmp_path, n_per_class=3, seed=0, image_size=8)
+        path = tmp_path / MANIFEST_NAME
+        lines = path.read_text().splitlines()
+        img_id, label, split = lines[-1].split("\t")
+        other = split if same_split else next(s for s in ("train", "val", "test") if s != split)
+        lines.append(f"{img_id}\t{label}\t{other}")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=rf"{MANIFEST_NAME}:{len(lines)}: image '{img_id}' already listed on line {len(lines) - 1}$"):
+            load_manifest(tmp_path)
+
     def test_class_balance_counts(self, tmp_path):
         m = synth_generate(tmp_path, n_per_class=10, seed=2, image_size=8)
         bal = m.class_balance()

@@ -13,7 +13,7 @@ from bct.losses import (
 )
 from bct.layers import softmax
 from bct.rng import Rng
-from bct.tensor import DomainError, ShapeError, Tape, Tensor
+from bct.tensor import DomainError, ShapeError, Tensor, topo_order
 
 from conftest import check_gradients
 
@@ -198,16 +198,73 @@ class TestLossGradients:
 
 
 # ---- the one loss kernel against the composed Tensor-op chain it replaces
+#
+# The chain also used clamp, log, scalar - tensor, negation and division by a
+# scalar, which bct.tensor does not define since nothing in the package calls
+# them. They keep their original forward and backward code here, so the
+# chain's bytes are the ones the kernel reproduces.
+
+
+def clamp(self, lo, hi):
+    a_data = self.data
+    out_data = np.clip(a_data, self.dtype.type(lo), self.dtype.type(hi))
+    inside = (a_data >= lo) & (a_data <= hi)
+
+    def backward(g):
+        self.accumulate_grad(g * inside)
+
+    return Tensor.from_op(out_data, (self,), backward)
+
+
+def log(self):
+    a_data = self.data
+    out_data = np.log(a_data)
+
+    def backward(g):
+        self.accumulate_grad(g / a_data)
+
+    return Tensor.from_op(out_data, (self,), backward)
+
+
+def rsub(self, other):
+    """other - self for a python scalar other."""
+    _, od = self._coerce(other, "sub")  # casts the scalar to the tensor's dtype
+    out_data = od - self.data
+
+    def backward(g):
+        self.accumulate_grad(-g)
+
+    return Tensor.from_op(out_data, (self,), backward)
+
+
+def neg(self):
+    out_data = -self.data
+
+    def backward(g):
+        self.accumulate_grad(-g)
+
+    return Tensor.from_op(out_data, (self,), backward)
+
+
+def div(self, other):
+    """self / other for a python scalar other."""
+    _, od = self._coerce(other, "div")
+    out_data = self.data / od
+
+    def backward(g):
+        self.accumulate_grad(g / od)
+
+    return Tensor.from_op(out_data, (self,), backward)
 
 
 def chain_loss(scores, targets, gamma=0.0, reduction="mean"):
     """The losses as they were composed from Tensor ops, one tape node per op."""
-    logs = scores.clamp(SCORE_FLOOR, 1.0).log()
+    logs = log(clamp(scores, SCORE_FLOOR, 1.0))
     weighted = targets * logs
     if gamma != 0:
-        weighted = (1.0 - scores) ** gamma * weighted
-    total = -(weighted.sum())
-    return total / float(scores.shape[0]) if reduction == "mean" else total
+        weighted = rsub(scores, 1.0) ** gamma * weighted
+    total = neg(weighted.sum())
+    return div(total, float(scores.shape[0])) if reduction == "mean" else total
 
 
 def kernel_loss(scores, targets, gamma, reduction):
@@ -307,7 +364,7 @@ def test_loss_is_one_tape_node():
     t = Tensor([[1.0, 0.0], [0.0, 1.0]], dtype=np.float64)
     for loss in (cross_entropy(s, t), binary_cross_entropy(s, t), focal_loss(s, t, gamma=2.0)):
         assert loss._parents == (s,)
-        assert Tape.from_root(loss).nodes == [s, loss]
+        assert topo_order(loss) == [s, loss]
 
 
 def test_mixed_dtypes_rejected():

@@ -1,5 +1,6 @@
-"""Malformed-input fuzzing of the four input parsers: read_checkpoint,
-read_ppm, load_manifest and the config file reader (via build_config).
+"""Malformed-input fuzzing of the five input parsers: read_checkpoint,
+read_ppm, load_manifest, the config file reader (via build_config) and the
+runlog reader behind bct inspect and bct plot.
 
 Each valid file is cut at every offset, then put through a fixed set of
 seeded 1-3 byte overwrites. Every case must parse or raise the parser's own
@@ -7,15 +8,18 @@ error (CheckpointError, DataError, ConfigError); any other exception is a
 parser bug.
 """
 
+import argparse
 import random
 
 import numpy as np
 import pytest
 
 from bct.checkpoint import CheckpointError, read_checkpoint, save_checkpoint
+from bct.cli import _inspect_runlog, cmd_plot
 from bct.config import build_config
 from bct.data import MANIFEST_NAME, DatasetManifest, load_manifest, read_ppm, save_manifest, write_ppm
 from bct.errors import ConfigError, DataError
+from bct.trainer import EpochRecord, RunLog, runlog_csv
 
 N_FLIPS = 2000
 
@@ -73,6 +77,21 @@ def valid_config(path):
     )
 
 
+def valid_runlog(path):
+    records = [
+        EpochRecord(1, 1, 0.693147182, 0.5, float("nan")),
+        EpochRecord(2, 1, 0.512345678, 0.75, 0.625),
+        EpochRecord(3, 2, 0.25, 0.875, 0.875),
+    ]
+    path.write_text(runlog_csv(RunLog(records=records)), encoding="utf-8")
+
+
+def runlog_in(path):
+    """bct inspect on the log, then bct plot on its run directory."""
+    _inspect_runlog(path)
+    cmd_plot(argparse.Namespace(run=str(path.parent), out=str(path.parent / "svg")))
+
+
 @pytest.mark.parametrize(
     "name, write_valid, parse, allowed",
     [
@@ -80,8 +99,9 @@ def valid_config(path):
         ("valid.ppm", valid_ppm, read_ppm, DataError),
         (MANIFEST_NAME, valid_manifest, manifest_in, DataError),
         ("run.cfg", valid_config, build_config, ConfigError),
+        ("runlog.csv", valid_runlog, runlog_in, DataError),
     ],
-    ids=["read_checkpoint", "read_ppm", "load_manifest", "build_config"],
+    ids=["read_checkpoint", "read_ppm", "load_manifest", "build_config", "runlog"],
 )
 def test_malformed_files_parse_or_raise_the_parsers_error(tmp_path, name, write_valid, parse, allowed):
     (tmp_path / "valid").mkdir()

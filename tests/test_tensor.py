@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bct.rng import Rng
-from bct.tensor import DomainError, ShapeError, Tape, Tensor, no_grad
+from bct.tensor import DomainError, ShapeError, Tensor, no_grad, topo_order
 
 from conftest import check_gradients
 
@@ -39,41 +39,29 @@ class TestForward:
         a = Tensor([1.0, 2.0, 3.0])
         b = Tensor([4.0, 5.0, 6.0])
         np.testing.assert_allclose((a + b).data, [5, 7, 9])
-        np.testing.assert_allclose((a - b).data, [-3, -3, -3])
         np.testing.assert_allclose((a * b).data, [4, 10, 18])
-        np.testing.assert_allclose((b / a).data, [4, 2.5, 2])
-        np.testing.assert_allclose((2.0 - a).data, [1, 0, -1])
-        np.testing.assert_allclose((1.0 / a).data, [1, 0.5, 1 / 3], rtol=1e-6)
-        np.testing.assert_allclose((-a).data, [-1, -2, -3])
+        np.testing.assert_allclose((2.0 + a).data, [3, 4, 5])
+        np.testing.assert_allclose((-1.0 * a).data, [-1, -2, -3])
         np.testing.assert_allclose((a ** 2).data, [1, 4, 9])
-
-    def test_matmul_hand_value(self):
-        # [[1,2]] @ [[3],[4]] = [[11]]
-        a = Tensor([[1.0, 2.0]])
-        b = Tensor([[3.0], [4.0]])
-        np.testing.assert_allclose((a @ b).data, [[11.0]])
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ShapeError):
             Tensor([1.0, 2.0]) + Tensor([1.0, 2.0, 3.0])
         with pytest.raises(ShapeError):
-            Tensor([[1.0]]) @ Tensor([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-        with pytest.raises(ShapeError):
-            Tensor([1.0]).matmul(Tensor([1.0]))
+            Tensor([1.0, 2.0]) * Tensor([[1.0, 2.0]])
 
     def test_mixed_dtype_raises(self):
         with pytest.raises(TypeError):
             Tensor([1.0]) + Tensor([1.0], dtype=np.float64)
 
     def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            Tensor([0.0]).log()
-        with pytest.raises(DomainError):
-            Tensor([-1.0]).log()
-        with pytest.raises(DomainError):
-            Tensor([1.0]) / Tensor([0.0])
-        with pytest.raises(DomainError):
-            Tensor([1000.0]).exp()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(DomainError):
+                Tensor([0.0]) ** -1.0
+            with pytest.raises(DomainError):
+                Tensor([-1.0]) ** 0.5
+        with pytest.raises(TypeError):
+            Tensor([2.0]) ** Tensor([2.0])
 
     def test_reductions(self):
         t = Tensor([[1.0, 5.0], [2.0, 2.0]])
@@ -84,10 +72,6 @@ class TestForward:
         t = Tensor([[0.5, 0.5], [0.25, 0.75]])
         np.testing.assert_array_equal(t.argmax(axis=1), [0, 1])
         assert Tensor([3.0, 3.0, 3.0]).argmax() == 0
-
-    def test_clamp_values(self):
-        t = Tensor([-1.0, 0.5, 2.0])
-        np.testing.assert_allclose(t.clamp(0.0, 1.0).data, [0, 0.5, 1])
 
     def test_reshape_roundtrip(self):
         t = Tensor(np.arange(6, dtype=np.float32))
@@ -180,9 +164,9 @@ class TestBackward:
         b = a + 1.0
         c = a * 3.0
         root = (b * c).sum()
-        tape = Tape.from_root(root)
-        pos = {id(t): i for i, t in enumerate(tape.nodes)}
-        for node in tape.nodes:
+        nodes = topo_order(root)
+        pos = {id(t): i for i, t in enumerate(nodes)}
+        for node in nodes:
             for parent in node._parents:
                 if id(parent) in pos:
                     assert pos[id(parent)] < pos[id(node)]
@@ -208,13 +192,11 @@ class TestGradientOracle:
         rng = Rng(11)
         for shape in self.SHAPES:
             a = f64(self._rand(rng, shape))
-            b = f64(self._rand(rng, shape, 0.5, 2.0))  # keep divisors away from 0
+            b = f64(self._rand(rng, shape, 0.5, 2.0))
             w = self._rand(rng, shape)  # fixed weights make the scalar generic
             for op in [
                 lambda: ((a + b) * Tensor(w, dtype=np.float64)).sum(),
-                lambda: ((a - b) * Tensor(w, dtype=np.float64)).sum(),
                 lambda: ((a * b) * Tensor(w, dtype=np.float64)).sum(),
-                lambda: ((a / b) * Tensor(w, dtype=np.float64)).sum(),
             ]:
                 check_gradients(op, [a, b])
 
@@ -223,41 +205,14 @@ class TestGradientOracle:
         a = f64(self._rand(rng, (3, 4), 0.5, 2.0))
         for op in [
             lambda: (a + 1.5).sum(),
-            lambda: (2.5 - a).sum(),
+            lambda: (2.5 + a).sum(),
             lambda: (a * -3.0).sum(),
-            lambda: (a / 2.0).sum(),
-            lambda: (3.0 / a).sum(),
-            lambda: (-a).sum(),
+            lambda: (0.5 * a).sum(),
             lambda: (a ** 3).sum(),
             lambda: (a ** 0.5).sum(),
             lambda: (a ** 0).sum(),
         ]:
             check_gradients(op, [a])
-
-    def test_unary_ops(self, f64):
-        rng = Rng(13)
-        for shape in self.SHAPES:
-            # stay >= 0.3: central-difference truncation for log is h^2/(3x^3)
-            pos = f64(self._rand(rng, shape, 0.3, 3.0))
-            check_gradients(lambda: pos.log().sum(), [pos])
-            sm = f64(self._rand(rng, shape, -2.0, 2.0))
-            check_gradients(lambda: sm.exp().sum(), [sm])
-
-    def test_maximum_and_clamp(self, f64):
-        rng = Rng(14)
-        # keep entries away from the clamp points so fd is valid
-        c = f64(self._rand(rng, (5, 5)))
-        c.data[np.abs(np.abs(c.data) - 1.0) < 0.05] *= 0.8
-        cw = Tensor(self._rand(rng, (5, 5)), dtype=np.float64)
-        check_gradients(lambda: (c.clamp(-1.0, 1.0) * cw).sum(), [c])
-
-    def test_matmul(self, f64):
-        rng = Rng(15)
-        for m, k, n in [(1, 1, 1), (2, 3, 4), (5, 2, 3), (1, 4, 2)]:
-            a = f64(self._rand(rng, (m, k)))
-            b = f64(self._rand(rng, (k, n)))
-            w = Tensor(self._rand(rng, (m, n)), dtype=np.float64)
-            check_gradients(lambda: ((a @ b) * w).sum(), [a, b])
 
     def test_reductions_and_reshape(self, f64):
         rng = Rng(16)
@@ -274,11 +229,11 @@ class TestGradientOracle:
         # one deeper composite touching most primitives at once
         rng = Rng(17)
         x = f64(self._rand(rng, (4, 3), 0.2, 1.5))
-        w = f64(self._rand(rng, (3, 2)))
+        w = f64(self._rand(rng, (4, 3)))
 
         def loss():
-            h = (x @ w).exp()
-            z = h / (h + 1.0)
-            return (z.clamp(1e-6, 1.0).log() * -1.0).sum() * (1 / z.size)  # the mean
+            h = (x * w + 1.0) ** 2  # x also feeds the second factor below
+            z = h.sum(axis=1) * (h.reshape(3, 4).sum(axis=0) + x.sum(axis=1) * 0.5)
+            return (z ** -1.0).sum() * (1 / z.size)  # the mean of 1 / z
 
         check_gradients(loss, [x, w])
