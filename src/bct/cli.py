@@ -11,6 +11,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .checkpoint import CheckpointError, load_checkpoint, read_checkpoint
@@ -18,7 +19,7 @@ from .config import KEYS, _parse_int_list, build_config
 from .data import load_manifest, load_split, read_ppm, synth_generate
 from .errors import ConfigError, DataError, NumericError
 from .svgchart import line_chart
-from .trainer import build_model, evaluate, run_ablation, train
+from .trainer import SUITES, build_model, evaluate, run_ablation, train
 
 
 def _color_enabled(stream) -> bool:
@@ -141,8 +142,8 @@ def cmd_evaluate(args) -> int:
         "data_root": config.data_root,
         "split": args.split,
         "n": counts.total,
-        "counts": {"tp": counts.tp, "tn": counts.tn, "fp": counts.fp, "fn": counts.fn},
-        "metrics": report.as_dict(),
+        "counts": asdict(counts),
+        "metrics": asdict(report),
     }
     with open(args.out, "a", encoding="utf-8") as fh:
         fh.write(json.dumps(record, sort_keys=True) + "\n")
@@ -196,20 +197,23 @@ def _read_runlog(path: Path) -> list:
 def cmd_plot(args) -> int:
     run = Path(args.run)
     rows = _read_runlog(run / "runlog.csv")
+    epochs = [float(r["epoch"]) for r in rows]
+    try:
+        loss_svg = line_chart(
+            [("train loss", epochs, [float(r["train_loss"]) for r in rows])],
+            title="training loss", x_label="epoch", y_label="loss",
+        )
+        acc_svg = line_chart(
+            [
+                ("train acc", epochs, [float(r["train_acc"]) for r in rows]),
+                ("val acc", epochs, [float(r["val_acc"]) for r in rows]),
+            ],
+            title="accuracy", x_label="epoch", y_label="accuracy",
+        )
+    except ValueError as e:
+        raise DataError(f"{run / 'runlog.csv'}: {e}") from e
     out = Path(args.out) if args.out else run
     out.mkdir(parents=True, exist_ok=True)
-    epochs = [float(r["epoch"]) for r in rows]
-    loss_svg = line_chart(
-        [("train loss", epochs, [float(r["train_loss"]) for r in rows])],
-        title="training loss", x_label="epoch", y_label="loss",
-    )
-    acc_svg = line_chart(
-        [
-            ("train acc", epochs, [float(r["train_acc"]) for r in rows]),
-            ("val acc", epochs, [float(r["val_acc"]) for r in rows]),
-        ],
-        title="accuracy", x_label="epoch", y_label="accuracy",
-    )
     (out / "loss.svg").write_text(loss_svg, encoding="utf-8")
     (out / "accuracy.svg").write_text(acc_svg, encoding="utf-8")
     print(f"wrote {out / 'loss.svg'} and {out / 'accuracy.svg'}")
@@ -239,7 +243,7 @@ def _inspect_runlog(path: Path) -> None:
     last = rows[-1]
     print(_bold(f"{path}: training log, {len(rows)} epochs, stages {stages}"))
     print(f"  final: loss {last['train_loss']}  acc {last['train_acc']}  val {last['val_acc']}")
-    vals = [(float(r["val_acc"]), i) for i, r in enumerate(rows) if r["val_acc"] != "nan"]
+    vals = [(v, i) for i, r in enumerate(rows) if not math.isnan(v := float(r["val_acc"]))]
     if vals:
         best, idx = max(vals, key=lambda t: (t[0], -t[1]))
         print(f"  best val acc {best:.9g} at epoch {rows[idx]['epoch']}")
@@ -310,7 +314,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_evaluate)
 
     p = sub.add_parser("ablate", help="run an ablation suite over seeds")
-    p.add_argument("--suite", choices=("loss", "optimizer", "paradigm"), required=True)
+    p.add_argument("--suite", choices=SUITES, required=True)
     p.add_argument("--config", help="key = value config file")
     p.add_argument("--seeds", required=True, help="comma-separated run seeds")
     p.add_argument("--out", required=True, help="directory for tables and runs")

@@ -15,29 +15,29 @@ from pathlib import Path
 
 from .data import DatasetManifest, ensure_manifest
 from .errors import ConfigError
-from .losses import LossSpec
-from .optim import OptimizerConfig
+from .losses import LOSS_KINDS, REDUCTIONS, LossSpec
+from .optim import OPTIMIZER_KINDS, OptimizerConfig
+from .staging import PARADIGMS
+
+MODEL_KINDS = ("cnn", "backbone")
 
 
 @dataclass
 class ModelConfig:
-    kind: str = "cnn"  # "cnn" or "backbone"
+    kind: str = "cnn"  # one of MODEL_KINDS
     channels: tuple = (8, 16, 32)
     dense_width: int = 64
     kernel_size: int = 3
     pool_size: int = 2
-    num_classes: int = 2
 
     def validate(self) -> None:
-        if self.kind not in ("cnn", "backbone"):
-            raise ConfigError(f"model.kind must be cnn or backbone, got {self.kind!r}")
+        if self.kind not in MODEL_KINDS:
+            raise ConfigError(f"model.kind must be one of {MODEL_KINDS}, got {self.kind!r}")
         if not self.channels or any(c < 1 for c in self.channels):
             raise ConfigError(f"model.channels must be positive ints, got {self.channels}")
         for name in ("dense_width", "kernel_size", "pool_size"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"model.{name} must be >= 1")
-        if self.num_classes != 2:
-            raise ConfigError("model.num_classes: only 2 is supported")
 
 
 @dataclass
@@ -68,9 +68,9 @@ class TrainConfig:
             self.optim.validate()
         except ValueError as e:
             raise ConfigError(str(e)) from e
-        if self.paradigm not in ("baseline", "tl", "etl"):
-            raise ConfigError(f"paradigm.kind must be baseline, tl, or etl, got {self.paradigm!r}")
-        if self.paradigm in ("tl", "etl"):
+        if self.paradigm not in PARADIGMS:
+            raise ConfigError(f"paradigm.kind must be one of {tuple(PARADIGMS)}, got {self.paradigm!r}")
+        if self.paradigm != "baseline":
             if self.model.kind != "backbone":
                 raise ConfigError(f"paradigm {self.paradigm} needs model.kind = backbone")
             if not self.pretrain_checkpoint:
@@ -162,21 +162,21 @@ _REGISTRY: dict[str, tuple] = {
     "data.image_size": (_parse_int, "image_size"),
     "data.ratios": (_parse_ratios, "ratios"),
     "data.seed": (_parse_int, "data_seed"),
-    "model.kind": (_choice("cnn", "backbone"), "model.kind"),
+    "model.kind": (_choice(*MODEL_KINDS), "model.kind"),
     "model.channels": (_parse_int_list, "model.channels"),
     "model.dense_width": (_parse_int, "model.dense_width"),
     "model.kernel_size": (_parse_int, "model.kernel_size"),
     "model.pool_size": (_parse_int, "model.pool_size"),
-    "loss.kind": (_choice("cross_entropy", "binary_cross_entropy", "focal"), "loss.kind"),
+    "loss.kind": (_choice(*LOSS_KINDS), "loss.kind"),
     "loss.gamma": (_parse_float, "loss.gamma"),
-    "loss.reduction": (_choice("mean", "sum"), "loss.reduction"),
-    "optim.kind": (_choice("sgd", "adam", "rectadam"), "optim.kind"),
+    "loss.reduction": (_choice(*REDUCTIONS), "loss.reduction"),
+    "optim.kind": (_choice(*OPTIMIZER_KINDS), "optim.kind"),
     "optim.learning_rate": (_parse_float, "optim.learning_rate"),
     "optim.momentum": (_parse_float, "optim.momentum"),
     "optim.beta1": (_parse_float, "optim.beta1"),
     "optim.beta2": (_parse_float, "optim.beta2"),
     "optim.epsilon": (_parse_float, "optim.epsilon"),
-    "paradigm.kind": (_choice("baseline", "tl", "etl"), "paradigm"),
+    "paradigm.kind": (_choice(*PARADIGMS), "paradigm"),
     "paradigm.pretrain_checkpoint": (_parse_str, "pretrain_checkpoint"),
     "paradigm.source_root": (_parse_str, "source_root"),
     "train.batch_size": (_parse_int, "batch_size"),

@@ -379,10 +379,11 @@ class Model:
 _INIT_STREAM = 0x1A7E57  # model-init stream tag, keeps init draws apart from other uses
 
 
-def _conv_net(input_shape, channels, dense_width, num_classes, kernel_size, pool_size, seed, dtype,
+def _conv_net(input_shape, channels, dense_width, kernel_size, pool_size, seed, dtype,
               act: str, pooled: int, conv_prefix: str = "", head_prefix: str = "") -> Model:
     """conv -> pool -> act blocks (only the first `pooled` pool), then flatten ->
-    dense1 -> relu -> dense2 -> softmax. Init draws run in layer order."""
+    dense1 -> relu -> dense2 -> softmax over the two classes. Init draws run in
+    layer order."""
     c, h, w = input_shape
     rng = Rng(derive(seed, _INIT_STREAM))
     stack = []
@@ -400,7 +401,7 @@ def _conv_net(input_shape, channels, dense_width, num_classes, kernel_size, pool
         (None, Flatten()),
         (f"{head_prefix}dense1", Dense(c * h * w, dense_width, rng=rng, dtype=dtype)),
         (None, Activation("relu")),
-        (f"{head_prefix}dense2", Dense(dense_width, num_classes, rng=rng, dtype=dtype)),
+        (f"{head_prefix}dense2", Dense(dense_width, 2, rng=rng, dtype=dtype)),
         (None, Activation("softmax")),
     ]
     return Model(stack)
@@ -410,7 +411,6 @@ def build_cnn(
     input_shape: tuple = (3, 64, 64),
     channels: tuple = (8, 16, 32),
     dense_width: int = 64,
-    num_classes: int = 2,
     kernel_size: int = 3,
     pool_size: int = 2,
     seed: int = 0,
@@ -429,7 +429,7 @@ def build_cnn(
     but 3% below 0); a window whose top two cells are such a pair outputs the
     lower value.
     """
-    return _conv_net(input_shape, channels, dense_width, num_classes, kernel_size, pool_size, seed, dtype,
+    return _conv_net(input_shape, channels, dense_width, kernel_size, pool_size, seed, dtype,
                      act="sigmoid", pooled=len(channels))
 
 
@@ -437,7 +437,6 @@ def build_backbone(
     input_shape: tuple = (3, 32, 32),
     channels: tuple = (8, 16, 32, 32),
     dense_width: int = 64,
-    num_classes: int = 2,
     kernel_size: int = 3,
     pool_size: int = 2,
     seed: int = 0,
@@ -449,7 +448,7 @@ def build_backbone(
     run conv -> relu and keep spatial size. relu commutes with the pool bit
     for bit, gradients included: a window with max <= 0 passes 0 either way.
     Parameter names partition exactly into backbone.conv*/head.dense* so
-    freeze patterns like "backbone.*" address the feature extractor.
+    the stage prefixes "backbone." and "head." address the two parts.
     """
-    return _conv_net(input_shape, channels, dense_width, num_classes, kernel_size, pool_size, seed, dtype,
+    return _conv_net(input_shape, channels, dense_width, kernel_size, pool_size, seed, dtype,
                      act="relu", pooled=3, conv_prefix="backbone.", head_prefix="head.")

@@ -24,8 +24,8 @@ from .tensor import DomainError, ShapeError, Tensor
 
 SCORE_FLOOR = 1e-12
 
-_KINDS = ("cross_entropy", "binary_cross_entropy", "focal")
-_REDUCTIONS = ("mean", "sum")
+LOSS_KINDS = ("cross_entropy", "binary_cross_entropy", "focal")
+REDUCTIONS = ("mean", "sum")
 
 
 @dataclass
@@ -37,12 +37,12 @@ class LossSpec:
     reduction: str = "mean"
 
     def validate(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown loss kind {self.kind!r}; expected one of {_KINDS}")
+        if self.kind not in LOSS_KINDS:
+            raise ValueError(f"unknown loss kind {self.kind!r}; expected one of {LOSS_KINDS}")
         if self.kind == "focal" and not self.gamma >= 0:
             raise ValueError(f"focal gamma must be >= 0, got {self.gamma}")
-        if self.reduction not in _REDUCTIONS:
-            raise ValueError(f"unknown reduction {self.reduction!r}; expected one of {_REDUCTIONS}")
+        if self.reduction not in REDUCTIONS:
+            raise ValueError(f"unknown reduction {self.reduction!r}; expected one of {REDUCTIONS}")
 
 
 def _check_batch(scores: Tensor, targets: Tensor, want_binary: bool) -> None:

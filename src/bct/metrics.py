@@ -31,16 +31,6 @@ class MetricReport:
     epochs_to_converge: int | None = None
     degenerate: tuple = ()
 
-    def as_dict(self) -> dict:
-        return {
-            "recall": self.recall,
-            "precision": self.precision,
-            "f1": self.f1,
-            "accuracy": self.accuracy,
-            "epochs_to_converge": self.epochs_to_converge,
-            "degenerate": list(self.degenerate),
-        }
-
 
 _CELLS = ("tn", "fp", "fn", "tp")  # the count a (predicted, actual) pair adds to, at 2 * actual + predicted
 

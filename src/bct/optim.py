@@ -18,7 +18,7 @@ import numpy as np
 from .errors import NumericError
 from .tensor import Tensor
 
-_KINDS = ("sgd", "adam", "rectadam")
+OPTIMIZER_KINDS = ("sgd", "adam", "rectadam")
 
 
 @dataclass
@@ -33,8 +33,8 @@ class OptimizerConfig:
     _DEFAULT_LR = {"sgd": 0.01, "adam": 0.001, "rectadam": 0.001}
 
     def validate(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown optimizer {self.kind!r}; expected one of {_KINDS}")
+        if self.kind not in OPTIMIZER_KINDS:
+            raise ValueError(f"unknown optimizer {self.kind!r}; expected one of {OPTIMIZER_KINDS}")
         lr = self.resolved_lr()
         if not lr > 0:
             raise ValueError(f"learning rate must be > 0, got {lr}")

@@ -1,8 +1,9 @@
 """Training paradigms as staged freeze schedules.
 
-A paradigm is an ordered list of stages; each stage names the parameter
-subset that trains (fnmatch patterns over registry names) while everything
-else stays frozen. The three shipped paradigms:
+PARADIGMS maps each paradigm to its stages in order. A stage is a pair
+(name, prefix): the parameters whose registry names start with the prefix
+train, and every other parameter stays frozen. The prefix "" matches every
+name. The three paradigms:
 
     baseline  one stage, everything trainable
     tl        one stage, head.* trains on top of a loaded backbone
@@ -14,26 +15,17 @@ out; the driver then flips the optimizer's frozen set and the run continues
 counting epochs cumulatively.
 """
 
-import fnmatch
 from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
 from .optim import Optimizer
 
-PARADIGMS = ("baseline", "tl", "etl")
-
-
-@dataclass
-class Stage:
-    name: str
-    trainable_patterns: tuple
-
-
-@dataclass
-class Paradigm:
-    kind: str
-    stages: list
+PARADIGMS = {
+    "baseline": (("all", ""),),
+    "tl": (("head", "head."),),
+    "etl": (("head", "head."), ("backbone", "backbone.")),
+}
 
 
 @dataclass
@@ -52,62 +44,31 @@ class StageTransition:
     # is ever reset; recorded so the update dynamics are auditable
     moments_reset: bool = False
 
-    def as_dict(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "from_stage": self.from_stage,
-            "to_stage": self.to_stage,
-            "from_index": self.from_index,
-            "to_index": self.to_index,
-            "reason": self.reason,
-            "newly_trainable": list(self.newly_trainable),
-            "newly_frozen": list(self.newly_frozen),
-            "moments_reset": self.moments_reset,
-        }
-
-
-def make_paradigm(kind: str) -> Paradigm:
-    if kind == "baseline":
-        return Paradigm(kind, [Stage("all", ("*",))])
-    if kind == "tl":
-        return Paradigm(kind, [Stage("head", ("head.*",))])
-    if kind == "etl":
-        return Paradigm(kind, [Stage("head", ("head.*",)), Stage("backbone", ("backbone.*",))])
-    raise ConfigError(f"unknown paradigm {kind!r}; expected one of {PARADIGMS}")
-
-
-def resolve_trainable(param_names, patterns) -> list[str]:
-    """Registry names matching any pattern, in registry order."""
-    out = [n for n in param_names if any(fnmatch.fnmatchcase(n, p) for p in patterns)]
-    if not out:
-        raise ConfigError(f"freeze patterns {patterns} match no parameters")
-    return out
-
 
 class StagedDriver:
     """Applies a paradigm's stages to an optimizer across a training run."""
 
-    def __init__(self, model, paradigm: Paradigm, optimizer: Optimizer, stage_cap: int):
+    def __init__(self, model, paradigm: str, optimizer: Optimizer, stage_cap: int):
+        if paradigm not in PARADIGMS:
+            raise ConfigError(f"unknown paradigm {paradigm!r}; expected one of {tuple(PARADIGMS)}")
         if stage_cap < 1:
             raise ConfigError(f"stage epoch cap must be >= 1, got {stage_cap}")
-        self.paradigm = paradigm
+        self.stages = PARADIGMS[paradigm]
         self.optimizer = optimizer
         self.stage_cap = stage_cap
         names = list(model.params)
-        self._trainable = [resolve_trainable(names, s.trainable_patterns) for s in paradigm.stages]
-        self._frozen = [
-            [n for n in names if n not in set(t)] for t in self._trainable
-        ]
+        # registry names that train in each stage, in registry order
+        self._trainable = [[n for n in names if n.startswith(prefix)] for _, prefix in self.stages]
+        for (stage, prefix), trainable in zip(self.stages, self._trainable):
+            if not trainable:
+                raise ConfigError(f"{paradigm} stage {stage!r}: prefix {prefix!r} matches no parameters")
+        self._frozen = [[n for n in names if n not in set(t)] for t in self._trainable]
         self.stage_idx = 0
         self.epochs_in_stage = 0
         self.per_stage_epochs: list[int] = []
         self.done = False
         self.exit_reason: str | None = None
         optimizer.set_freeze(self._frozen[0])
-
-    @property
-    def stage(self) -> Stage:
-        return self.paradigm.stages[self.stage_idx]
 
     @property
     def stage_number(self) -> int:
@@ -123,7 +84,7 @@ class StagedDriver:
             return None
         reason = "converged" if converged else "cap"
         self.per_stage_epochs.append(self.epochs_in_stage)
-        if self.stage_idx == len(self.paradigm.stages) - 1:
+        if self.stage_idx == len(self.stages) - 1:
             self.done = True
             self.exit_reason = reason
             return None
@@ -135,8 +96,8 @@ class StagedDriver:
         self.optimizer.set_freeze(self._frozen[self.stage_idx])
         return StageTransition(
             epoch=epoch,
-            from_stage=self.paradigm.stages[prev].name,
-            to_stage=self.stage.name,
+            from_stage=self.stages[prev][0],
+            to_stage=self.stages[self.stage_idx][0],
             from_index=prev,
             to_index=self.stage_idx,
             reason=reason,

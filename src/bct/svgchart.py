@@ -35,6 +35,8 @@ def _finite_points(xs, ys):
 def _ticks(lo: float, hi: float, n: int = 5):
     if lo == hi:  # degenerate span: center a unit range on the value
         lo, hi = lo - 0.5, hi + 0.5
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"cannot scale {lo:g} to {hi:g}: the span overflows a float")
     return lo, hi, [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 

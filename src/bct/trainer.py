@@ -17,7 +17,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from . import config as config_mod
@@ -28,8 +28,8 @@ from .errors import ConfigError, DataError, NumericError
 from .layers import Model, build_backbone, build_cnn
 from .losses import make_loss
 from .metrics import ConfusionCounts, MetricReport, compute_metrics, count_batch
-from .optim import Optimizer
-from .staging import StagedDriver, make_paradigm, pretrain_source
+from .optim import OPTIMIZER_KINDS, Optimizer
+from .staging import PARADIGMS, StagedDriver, pretrain_source
 from .tensor import no_grad
 
 # glibc mallopt parameters and the values train() sets: arrays up to 32 MiB come
@@ -82,7 +82,6 @@ def build_model(config: TrainConfig) -> Model:
         input_shape=(3, config.image_size, config.image_size),
         channels=tuple(config.model.channels),
         dense_width=config.model.dense_width,
-        num_classes=config.model.num_classes,
         kernel_size=config.model.kernel_size,
         pool_size=config.model.pool_size,
         seed=config.seed,
@@ -163,10 +162,10 @@ def train(config: TrainConfig, echo: dict | None = None, progress=None) -> RunLo
         raise DataError(f"{config.data_root}: train split is empty")
 
     model = build_model(config)
-    if config.paradigm in ("tl", "etl"):
+    if config.paradigm != "baseline":
         load_subset(model, config.pretrain_checkpoint, "backbone.")
     optimizer = Optimizer(model.params, config.optim)
-    driver = StagedDriver(model, make_paradigm(config.paradigm), optimizer, config.max_epochs)
+    driver = StagedDriver(model, config.paradigm, optimizer, config.max_epochs)
     loss_fn = make_loss(config.loss)
     # per-sample-sum loss for the convergence check, whatever the training reduction
     eval_loss_fn = make_loss(replace(config.loss, reduction="sum"))
@@ -266,18 +265,10 @@ def result_dict(log: RunLog) -> dict:
         "per_stage_epochs": log.per_stage_epochs,
         "best_epoch": log.best_epoch,
         "param_count": log.param_count,
-        "transitions": [t.as_dict() for t in log.transitions],
+        "transitions": [asdict(t) for t in log.transitions],
         "test": None
         if log.test_report is None
-        else {
-            "counts": {
-                "tp": log.test_counts.tp,
-                "tn": log.test_counts.tn,
-                "fp": log.test_counts.fp,
-                "fn": log.test_counts.fn,
-            },
-            "metrics": log.test_report.as_dict(),
-        },
+        else {"counts": asdict(log.test_counts), "metrics": asdict(log.test_report)},
     }
 
 
@@ -356,30 +347,21 @@ def _arm_row(arm: str, runs: list) -> dict:
     }
 
 
-def loss_suite_arms(base: TrainConfig) -> list:
-    arms = [("cross_entropy", replace(base, loss=replace(base.loss, kind="cross_entropy")))]
-    for gamma in (0.0, 1.0, 2.0):
-        arms.append(
-            (
-                f"focal_g{gamma:g}",
-                replace(base, loss=replace(base.loss, kind="focal", gamma=gamma)),
-            )
-        )
-    return arms
+SUITES = ("loss", "optimizer", "paradigm")
 
 
-def optimizer_suite_arms(base: TrainConfig) -> list:
+def _suite_arms(suite: str, base: TrainConfig, pretrain_path: str | None) -> list:
+    """(arm name, config) pairs of one suite, in table order."""
+    if suite == "loss":
+        gammas = (0.0, 1.0, 2.0)
+        return [("cross_entropy", replace(base, loss=replace(base.loss, kind="cross_entropy")))] + [
+            (f"focal_g{g:g}", replace(base, loss=replace(base.loss, kind="focal", gamma=g))) for g in gammas
+        ]
+    if suite == "optimizer":
+        return [(kind, replace(base, optim=replace(base.optim, kind=kind))) for kind in OPTIMIZER_KINDS]
     return [
-        (kind, replace(base, optim=replace(base.optim, kind=kind)))
-        for kind in ("sgd", "adam", "rectadam")
-    ]
-
-
-def paradigm_suite_arms(base: TrainConfig, pretrain_path: str) -> list:
-    return [
-        ("baseline", replace(base, paradigm="baseline", pretrain_checkpoint=None)),
-        ("tl", replace(base, paradigm="tl", pretrain_checkpoint=pretrain_path)),
-        ("etl", replace(base, paradigm="etl", pretrain_checkpoint=pretrain_path)),
+        (p, replace(base, paradigm=p, pretrain_checkpoint=None if p == "baseline" else pretrain_path))
+        for p in PARADIGMS
     ]
 
 
@@ -405,9 +387,8 @@ def _run_one(job) -> dict:
 
 
 def _pretrain_one(job):
-    seed, cfg, path = job
+    cfg, path = job
     pretrain_source(cfg, path)
-    return path
 
 
 def run_ablation(suite: str, base: TrainConfig, seeds, out_dir, jobs: int = 1) -> AblationTable:
@@ -425,51 +406,33 @@ def run_ablation(suite: str, base: TrainConfig, seeds, out_dir, jobs: int = 1) -
         raise ConfigError(f"duplicate seeds in {seeds}")
     if jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {jobs}")
-    out_dir = Path(out_dir)
-
-    pretrain_jobs = []
-    if suite == "loss":
-        arm_fn = loss_suite_arms
-    elif suite == "optimizer":
-        arm_fn = optimizer_suite_arms
-    elif suite == "paradigm":
+    if suite not in SUITES:
+        raise ConfigError(f"unknown suite {suite!r}; expected one of {SUITES}")
+    if suite == "paradigm":
         if not base.source_root:
             raise ConfigError("paradigm suite needs paradigm.source_root for pretraining")
         if base.model.kind != "backbone":
             raise ConfigError("paradigm suite needs model.kind = backbone")
-        for seed in seeds:
-            pre_cfg = replace(
-                base,
-                data_root=base.source_root,
-                paradigm="baseline",
-                pretrain_checkpoint=None,
-                seed=seed,
-                out_dir=str(out_dir / "pretrain" / f"seed_{seed}"),
-            )
-            pretrain_jobs.append((seed, pre_cfg, str(out_dir / "pretrain" / f"seed_{seed}" / "backbone.bct1")))
-        arm_fn = None
-    else:
-        raise ConfigError(f"unknown suite {suite!r}; expected loss, optimizer, or paradigm")
+    out_dir = Path(out_dir)
 
     # build and validate every run config up front: a bad arm aborts the suite
-    run_jobs = []
-    arm_order: list[str] = []
+    pretrain_jobs, run_jobs = [], []
     for seed in seeds:
+        pre_path = None
         if suite == "paradigm":
-            pre_path = str(out_dir / "pretrain" / f"seed_{seed}" / "backbone.bct1")
-            arms = paradigm_suite_arms(base, pre_path)
-        else:
-            arms = arm_fn(base)
-        for arm, cfg in arms:
-            if arm not in arm_order:
-                arm_order.append(arm)
+            pre_dir = out_dir / "pretrain" / f"seed_{seed}"
+            pre_path = str(pre_dir / "backbone.bct1")
+            pre_cfg = replace(base, data_root=base.source_root, paradigm="baseline",
+                              pretrain_checkpoint=None, seed=seed, out_dir=str(pre_dir))
+            pre_cfg.validate()
+            pretrain_jobs.append((pre_cfg, pre_path))
+        for arm, cfg in _suite_arms(suite, base, pre_path):
             cfg = replace(cfg, seed=seed, out_dir=str(out_dir / arm / f"seed_{seed}"))
             if not cfg.data_root:
                 raise ConfigError("data.root is required for ablation runs")
             cfg.validate()
             run_jobs.append((arm, seed, cfg))
-    for _, cfg, _p in pretrain_jobs:
-        cfg.validate()
+    arm_order = list(dict.fromkeys(arm for arm, _, _ in run_jobs))
 
     # pin any missing split manifest now, so parallel workers can't race to
     # create it and the result can't depend on which seed ran first

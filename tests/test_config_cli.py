@@ -185,6 +185,20 @@ class TestCommands:
         assert "2 epochs" in out
         assert "final:" in out
 
+    def test_inspect_runlog_skips_every_spelling_of_nan(self, tmp_path, capsys):
+        log = tmp_path / "runlog.csv"
+        log.write_text("epoch,stage,train_loss,train_acc,val_acc\n"
+                       "1,1,0.5,0.5,NaN\n2,1,0.4,0.6, nan\n3,1,0.3,0.7,0.5\n", encoding="utf-8")
+        assert main(["inspect", str(log)]) == 0
+        assert "best val acc 0.5 at epoch 3" in capsys.readouterr().out
+
+    def test_plot_of_an_overflowing_span_is_a_data_error(self, tmp_path, capsys):
+        (tmp_path / "runlog.csv").write_text("epoch,stage,train_loss,train_acc,val_acc\n"
+                                             "1,1,1e308,0.5,0.5\n2,1,-1e308,0.5,0.5\n", encoding="utf-8")
+        assert main(["plot", "--run", str(tmp_path)]) == 3
+        assert "overflows" in capsys.readouterr().err
+        assert not (tmp_path / "loss.svg").exists()
+
     def test_inspect_unknown_format(self, tmp_path, capsys):
         path = tmp_path / "mystery.bin"
         path.write_bytes(b"\x00\x01\x02\x03")

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -63,7 +64,7 @@ class TestComputeMetrics:
     def test_epochs_passthrough_and_dict(self):
         r = compute_metrics(ConfusionCounts(tp=1, tn=1), epochs_to_converge=23)
         assert r.epochs_to_converge == 23
-        d = r.as_dict()
+        d = asdict(r)
         assert d["epochs_to_converge"] == 23 and d["accuracy"] == 1.0
 
     def test_exhaustive_recount_six_samples(self):

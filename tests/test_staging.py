@@ -1,5 +1,8 @@
 """Paradigm definitions and the staged freeze driver."""
 
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -10,13 +13,7 @@ from bct.errors import ConfigError
 from bct.layers import Dense, Model
 from bct.optim import Optimizer, OptimizerConfig
 from bct.rng import Rng
-from bct.staging import (
-    PARADIGMS,
-    StagedDriver,
-    make_paradigm,
-    pretrain_source,
-    resolve_trainable,
-)
+from bct.staging import PARADIGMS, StagedDriver, pretrain_source
 
 
 def two_part_model():
@@ -28,31 +25,35 @@ def two_part_model():
     )
 
 
-def driver_for(kind, cap=5):
-    model = two_part_model()
+def driver_for(kind, cap=5, model=None):
+    model = model or two_part_model()
     opt = Optimizer(model.params, OptimizerConfig(kind="sgd"))
-    return StagedDriver(model, make_paradigm(kind), opt, cap), opt
+    return StagedDriver(model, kind, opt, cap), opt
 
 
 class TestParadigms:
     def test_known_kinds(self):
-        assert PARADIGMS == ("baseline", "tl", "etl")
-        assert [s.name for s in make_paradigm("baseline").stages] == ["all"]
-        assert [s.name for s in make_paradigm("tl").stages] == ["head"]
-        assert [s.name for s in make_paradigm("etl").stages] == ["head", "backbone"]
+        assert list(PARADIGMS) == ["baseline", "tl", "etl"]
+        assert [name for name, _ in PARADIGMS["baseline"]] == ["all"]
+        assert [name for name, _ in PARADIGMS["tl"]] == ["head"]
+        assert [name for name, _ in PARADIGMS["etl"]] == ["head", "backbone"]
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError, match="unknown paradigm"):
-            make_paradigm("finetune")
+            driver_for("finetune")
 
-    def test_resolve_trainable_order_and_match(self):
-        names = ["backbone.d1.weight", "backbone.d1.bias", "head.d2.weight"]
-        assert resolve_trainable(names, ("head.*",)) == ["head.d2.weight"]
-        assert resolve_trainable(names, ("*",)) == names
+    def test_prefixes_select_in_registry_order(self):
+        # backbone.d1 is declared after head.d0, so registry order is not name order
+        model = Model([("head.d0", Dense(4, 3, rng=Rng(1))), ("backbone.d1", Dense(3, 2, rng=Rng(2)))])
+        _, opt = driver_for("baseline", model=model)
+        assert opt.trainable_names() == list(model.params)
+        _, opt = driver_for("etl", model=model)
+        assert opt.trainable_names() == ["head.d0.weight", "head.d0.bias"]
 
-    def test_resolve_trainable_no_match(self):
-        with pytest.raises(ConfigError, match="match no parameters"):
-            resolve_trainable(["head.d2.weight"], ("backbone.*",))
+    def test_prefix_that_matches_nothing(self):
+        model = Model([("head.d2", Dense(3, 2, rng=Rng(2)))])
+        with pytest.raises(ConfigError, match="'backbone.' matches no parameters"):
+            driver_for("etl", model=model)
 
 
 class TestStagedDriver:
@@ -116,14 +117,15 @@ class TestStagedDriver:
         model = two_part_model()
         opt = Optimizer(model.params, OptimizerConfig(kind="sgd"))
         with pytest.raises(ConfigError, match="cap"):
-            StagedDriver(model, make_paradigm("baseline"), opt, 0)
+            StagedDriver(model, "baseline", opt, 0)
 
     def test_transition_serializes(self):
         driver, _ = driver_for("etl", cap=1)
         t = driver.record_epoch(1, converged=False)
-        d = t.as_dict()
+        d = json.loads(json.dumps(asdict(t)))
         assert d["reason"] == "cap"
         assert d["newly_trainable"] == ["backbone.d1.bias", "backbone.d1.weight"]
+        assert d["moments_reset"] is False
 
 
 class TestPretrainSource:

@@ -61,6 +61,13 @@ def test_constant_series_has_no_degenerate_scale():
     assert "nan," not in svg and ",nan" not in svg  # all coordinates finite
 
 
+def test_span_that_overflows_raises():
+    with pytest.raises(ValueError, match="overflows"):
+        line_chart([("a", [1, 2], [1e308, -1e308])])
+    with pytest.raises(ValueError, match="overflows"):
+        line_chart([("a", [-1.7e308, 1.7e308], [0.0, 1.0])])
+
+
 def test_text_is_escaped():
     svg = line_chart([("a<b&c", [1, 2], [0.0, 1.0])], title='x "y" <z>')
     assert "a&lt;b&amp;c" in svg

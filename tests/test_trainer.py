@@ -321,6 +321,32 @@ class TestAblation:
         with pytest.raises(ConfigError, match="backbone"):
             run_ablation("paradigm", small_config(dataset, source_root=dataset), [1], tmp_path)
 
+    def test_paradigm_suite_pretrains_per_seed_and_matches_across_jobs(self, dataset, tmp_path):
+        source = tmp_path / "rings"
+        synth_generate(source, n_per_class=6, seed=4, noise_level=0.05,
+                       image_size=16, family="rings", cell_size=4)
+        config = small_config(
+            dataset, source_root=str(source),
+            model=ModelConfig(kind="backbone", channels=(4, 8, 8), dense_width=16),
+        )
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs_{jobs}"
+            table = run_ablation("paradigm", config, [0, 1], out, jobs=jobs)
+            assert table.arms == ["baseline", "tl", "etl"]
+            backbones = []
+            for seed in (0, 1):
+                path = out / "pretrain" / f"seed_{seed}" / "backbone.bct1"
+                assert path.is_file()
+                backbones.append(read_checkpoint(path))
+                final = read_checkpoint(out / "tl" / f"seed_{seed}" / "final.bct1")
+                for name, array in backbones[-1].items():
+                    assert final[name].tobytes() == array.tobytes(), (jobs, seed, name)
+            # each seed pretrains its own backbone
+            assert any(a.tobytes() != backbones[1][n].tobytes() for n, a in backbones[0].items())
+        assert (tmp_path / "jobs_1" / "runs.jsonl").read_bytes() == (
+            tmp_path / "jobs_2" / "runs.jsonl"
+        ).read_bytes()
+
     def test_loss_suite_runs_and_writes(self, dataset, tmp_path):
         config = small_config(dataset, max_epochs=1)
         table = run_ablation("loss", config, [1, 2], tmp_path / "abl")
