@@ -181,9 +181,12 @@ def _read_runlog(path: Path) -> list:
                 try:
                     if None in row or None in row.values():
                         raise ValueError(f"expected {len(reader.fieldnames)} fields")
-                    int(row["epoch"]), int(row["stage"]), float(row["val_acc"])
+                    int(row["epoch"]), int(row["stage"])
+                    train_acc, val_acc = float(row["train_acc"]), float(row["val_acc"])
                     if not all(math.isfinite(float(row[f])) for f in ("train_loss", "train_acc")):
                         raise ValueError("train_loss and train_acc must be finite")
+                    if not (0 <= train_acc <= 1 and (0 <= val_acc <= 1 or math.isnan(val_acc))):
+                        raise ValueError("train_acc must lie in [0, 1], and val_acc in [0, 1] or be nan")
                 except ValueError as e:
                     raise DataError(f"{path}:{reader.line_num}: {e}") from e
                 rows.append(row)

@@ -10,6 +10,7 @@ work starts.
 """
 
 import difflib
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -61,7 +62,10 @@ class TrainConfig:
     seed: int = 0
     out_dir: str | None = None
 
-    def validate(self) -> None:
+    def validate(self, pretrain_pending: bool = False) -> None:
+        """Reject bad values before any work starts. pretrain_pending skips the
+        check that paradigm.pretrain_checkpoint exists, for a suite arm whose
+        checkpoint an earlier job of the suite writes."""
         self.model.validate()
         try:
             self.loss.validate()
@@ -75,6 +79,8 @@ class TrainConfig:
                 raise ConfigError(f"paradigm {self.paradigm} needs model.kind = backbone")
             if not self.pretrain_checkpoint:
                 raise ConfigError(f"paradigm {self.paradigm} needs paradigm.pretrain_checkpoint")
+            if not pretrain_pending and not Path(self.pretrain_checkpoint).is_file():
+                raise ConfigError(f"paradigm.pretrain_checkpoint {self.pretrain_checkpoint} is not a file")
         elif self.pretrain_checkpoint:
             raise ConfigError("paradigm baseline does not take a pretrain checkpoint")
         if self.batch_size < 1:
@@ -83,13 +89,18 @@ class TrainConfig:
             raise ConfigError(f"train.max_epochs must be >= 1, got {self.max_epochs}")
         if not 0 < self.acc_threshold <= 1:
             raise ConfigError(f"train.acc_threshold must be in (0, 1], got {self.acc_threshold}")
-        if not self.loss_threshold > 0:
-            raise ConfigError(f"train.loss_threshold must be > 0, got {self.loss_threshold}")
+        if not 0 < self.loss_threshold < math.inf:
+            raise ConfigError(f"train.loss_threshold must be finite and > 0, got {self.loss_threshold}")
         if self.image_size < 2:
             raise ConfigError(f"data.image_size must be >= 2, got {self.image_size}")
         r = self.ratios  # the comparisons are written so that NaN fails them
         if len(r) != 3 or not all(x >= 0 for x in r) or not abs(sum(r) - 1) <= 1e-9:
             raise ConfigError(f"data.ratios must be three non-negative values summing to 1, got {self.ratios}")
+        if self.out_dir:  # the nearest existing path is where mkdir would fail, after training
+            out = Path(self.out_dir)
+            nearest = next((p for p in (out, *out.parents) if p.exists()), None)
+            if nearest is not None and not nearest.is_dir():
+                raise ConfigError(f"train.out_dir {out}: {nearest} exists and is not a directory")
 
     def split_seed(self) -> int:
         return self.seed if self.data_seed is None else self.data_seed

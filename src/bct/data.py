@@ -363,18 +363,30 @@ def load_manifest(root) -> DatasetManifest:
 
 @dataclass(frozen=True)
 class Split:
-    """Decoded images of one split, in manifest order; indexing gathers a sub-split."""
+    """Decoded images of one split, in manifest order; indexing gathers a sub-split.
 
-    images: np.ndarray  # (N, 3, H, W) float32 in [0, 1]
+    The split keeps the decoded bytes. Its float32 values (byte / 255) are
+    built per batch by stack_batch, or for the whole split by `images`, so a
+    run holds no float copy of a split.
+    """
+
+    pixels: np.ndarray  # (N, 3, H, W) uint8
     labels: np.ndarray  # (N,) int64
     ids: np.ndarray  # (N,) str
+
+    @property
+    def images(self) -> np.ndarray:
+        """(N, 3, H, W) float32 in [0, 1], a new array: each byte cast exactly, then divided by 255."""
+        images = self.pixels.astype(np.float32)
+        images /= np.float32(255.0)  # in place, as stack_batch divides
+        return images
 
     def __len__(self) -> int:
         return len(self.labels)
 
     def __getitem__(self, index) -> "Split":
         """A slice (views) or an index array (copies, in the array's order)."""
-        return Split(self.images[index], self.labels[index], self.ids[index])
+        return Split(self.pixels[index], self.labels[index], self.ids[index])
 
 
 def load_split(manifest: DatasetManifest, split: str) -> Split:
@@ -382,15 +394,14 @@ def load_split(manifest: DatasetManifest, split: str) -> Split:
     _check_split(split)
     entries = [(img_id, label) for img_id, label, s in manifest.entries if s == split]
     size = manifest.image_size
-    images = np.empty((len(entries), 3, size, size), dtype=np.float32)
-    for slot, (img_id, _) in zip(images, entries):
-        pixels = read_ppm(Path(manifest.root) / img_id)
-        if pixels.shape[:2] != (size, size):
-            pixels = resize_nearest(pixels, size, size)
-        slot[...] = np.transpose(pixels, (2, 0, 1))  # exact cast of each byte to float32
-    images /= np.float32(255.0)  # in place: no second full-size temporary
+    pixels = np.empty((len(entries), 3, size, size), dtype=np.uint8)
+    for slot, (img_id, _) in zip(pixels, entries):
+        image = read_ppm(Path(manifest.root) / img_id)
+        if image.shape[:2] != (size, size):
+            image = resize_nearest(image, size, size)
+        slot[...] = np.transpose(image, (2, 0, 1))
     labels = np.array([label for _, label in entries], dtype=np.int64)
-    return Split(images, labels, np.array([img_id for img_id, _ in entries], dtype=str))
+    return Split(pixels, labels, np.array([img_id for img_id, _ in entries], dtype=str))
 
 
 class Batch(NamedTuple):
@@ -401,18 +412,37 @@ class Batch(NamedTuple):
 
 
 def stack_batch(split: Split) -> Batch:
-    return Batch(Tensor(split.images), Tensor(np.eye(2, dtype=np.float32)[split.labels]), split.labels, split.ids)
+    images = Tensor(split.pixels)  # the Tensor's own copy is the exact uint8 -> float32 cast
+    images.data /= np.float32(255.0)
+    return Batch(images, Tensor(np.eye(2, dtype=np.float32)[split.labels]), split.labels, split.ids)
 
 
-def make_batches(split: Split, batch_size: int, seed: int) -> list[Batch]:
+@dataclass(frozen=True)
+class Batches:
+    """One epoch's batches in shuffled order; batch i is gathered and stacked when it is read.
+
+    Iterating (the sequence protocol, through __getitem__) holds no batch
+    between reads, so a loop keeps at most one alive."""
+
+    split: Split
+    order: np.ndarray  # (N,) int64, the shuffled sample indices
+    batch_size: int
+
+    def __len__(self) -> int:
+        return -(-len(self.order) // self.batch_size)
+
+    def __getitem__(self, i: int) -> Batch:
+        n = len(self)
+        if not -n <= i < n:
+            raise IndexError(f"batch {i} out of range for {n} batches")
+        start = i % n * self.batch_size
+        return stack_batch(self.split[self.order[start : start + self.batch_size]])
+
+
+def make_batches(split: Split, batch_size: int, seed: int) -> Batches:
     """Seeded shuffle then contiguous batches; the last one may be short."""
     if not split:
         raise DataError("cannot batch an empty split")
     if batch_size < 1:
         raise ConfigError(f"batch size must be >= 1, got {batch_size}")
-    order = list(range(len(split)))
-    Rng(seed).shuffle(order)
-    return [
-        stack_batch(split[np.array(order[start : start + batch_size])])
-        for start in range(0, len(split), batch_size)
-    ]
+    return Batches(split, Rng(seed).permutation(len(split)), batch_size)

@@ -1,8 +1,11 @@
 """Error taxonomy surfaced through the CLI exit codes.
 
 ConfigError -> exit 2, DataError -> exit 3, NumericError -> exit 4.
-ShapeError and DomainError (``**``, the loss checks) live in bct.tensor; they
-flag programming errors, not bad user input, and the CLI does not catch them.
+A run that diverges raises NumericError: train() and the evaluation passes
+check that a forward's scores are finite before any loss reads them, and
+the optimizer checks each update. ShapeError and DomainError (``**``, the
+loss checks) live in bct.tensor; they flag programming errors, not bad user
+input, and the CLI does not catch them.
 """
 
 
@@ -15,4 +18,4 @@ class DataError(ValueError):
 
 
 class NumericError(RuntimeError):
-    """Training diverged: non-finite loss or parameter values."""
+    """Training diverged: non-finite scores, loss or parameter values."""

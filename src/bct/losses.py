@@ -16,6 +16,7 @@ scores.grad keeps the chain's bytes (tests/test_losses.py checks this with
 the upstream gradient varied).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +40,9 @@ class LossSpec:
     def validate(self) -> None:
         if self.kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss kind {self.kind!r}; expected one of {LOSS_KINDS}")
-        if self.kind == "focal" and not self.gamma >= 0:
+        if not math.isfinite(self.gamma):
+            raise ValueError(f"loss gamma must be finite, got {self.gamma}")
+        if self.kind == "focal" and self.gamma < 0:
             raise ValueError(f"focal gamma must be >= 0, got {self.gamma}")
         if self.reduction not in REDUCTIONS:
             raise ValueError(f"unknown reduction {self.reduction!r}; expected one of {REDUCTIONS}")

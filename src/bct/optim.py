@@ -11,6 +11,7 @@ counter t advances once per step() call regardless of freezing.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,17 +36,17 @@ class OptimizerConfig:
     def validate(self) -> None:
         if self.kind not in OPTIMIZER_KINDS:
             raise ValueError(f"unknown optimizer {self.kind!r}; expected one of {OPTIMIZER_KINDS}")
-        lr = self.resolved_lr()
-        if not lr > 0:
-            raise ValueError(f"learning rate must be > 0, got {lr}")
-        if not self.momentum >= 0:
-            raise ValueError(f"momentum must be >= 0, got {self.momentum}")
+        lr = self.resolved_lr()  # the comparisons are written so that NaN and inf fail them
+        if not 0 < lr < math.inf:
+            raise ValueError(f"learning rate must be finite and > 0, got {lr}")
+        if not 0 <= self.momentum < math.inf:
+            raise ValueError(f"momentum must be finite and >= 0, got {self.momentum}")
         for name in ("beta1", "beta2"):
             b = getattr(self, name)
             if not 0 <= b < 1:
                 raise ValueError(f"{name} must be in [0, 1), got {b}")
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
 
     def resolved_lr(self) -> float:
         return self._DEFAULT_LR[self.kind] if self.learning_rate is None else self.learning_rate

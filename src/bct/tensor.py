@@ -3,7 +3,9 @@
 A Tensor wraps an ndarray plus an optional gradient buffer. Differentiable
 ops build new tensors that remember their parents and a backward closure;
 ``backward()`` on a scalar walks the recorded graph once in reverse
-topological order, accumulating gradients additively so fan-out just works.
+topological order, accumulating gradients additively so fan-out just works,
+then releases it: the leaves and the root keep their gradients, and a
+second ``backward()`` through any node of that graph raises ValueError.
 
 The ops: ``+`` and ``*`` (with a tensor or a python scalar), ``**`` (python
 scalar exponent), ``sum`` and ``reshape``; ``argmax`` and ``item`` read values
@@ -123,9 +125,13 @@ class Tensor:
         if not self.requires_grad:
             raise ValueError("backward() on a tensor that does not require grad")
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo_order(self)):
+        nodes = topo_order(self)
+        for node in reversed(nodes):
             if node._backward is not None:
                 node._backward(node.grad)
+        for node in nodes:  # release the graph; a second walk through it raises
+            if node._backward is not None:
+                node._parents, node._backward = (), _spent
 
     # ---- binary elementwise ----
 
@@ -233,6 +239,10 @@ class Tensor:
         if axis is None:
             return int(np.argmax(self.data))
         return np.argmax(self.data, axis=axis)
+
+
+def _spent(g) -> None:
+    raise ValueError("backward() through a graph that an earlier backward() already walked and released")
 
 
 def topo_order(root: Tensor) -> list:

@@ -20,6 +20,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import config as config_mod
 from .checkpoint import load_subset, save_checkpoint
 from .config import TrainConfig
@@ -94,6 +96,23 @@ def build_model(config: TrainConfig) -> Model:
         raise ConfigError(f"model does not fit data.image_size={config.image_size}: {e}") from e
 
 
+def _checked_forward(model: Model, images, where: str):
+    """model(images); non-finite scores raise NumericError naming the first layer whose output is not finite.
+
+    Only on that failure path is the batch run again, one layer at a time.
+    """
+    scores = model(images)
+    if np.isfinite(scores.data).all():
+        return scores
+    x = images
+    with no_grad():
+        for i, (name, layer) in enumerate(model.layers):
+            x = layer(x)
+            if not np.isfinite(x.data).all():
+                break
+    raise NumericError(f"non-finite scores {where}; first non-finite output from layer {i} ({name or type(layer).__name__})")
+
+
 def eval_split(model: Model, samples, loss_fn=None, batch_size: int = 64):
     """(mean loss or None, ConfusionCounts) over a fixed-order pass.
 
@@ -107,7 +126,7 @@ def eval_split(model: Model, samples, loss_fn=None, batch_size: int = 64):
     with no_grad():
         for start in range(0, len(samples), batch_size):
             batch = stack_batch(samples[start : start + batch_size])
-            scores = model(batch.images)
+            scores = _checked_forward(model, batch.images, f"in evaluation batch {start // batch_size}")
             preds = scores.argmax(axis=1)
             counts = count_batch(counts, preds, batch.labels)
             if loss_fn is not None:
@@ -142,12 +161,15 @@ def train(config: TrainConfig, echo: dict | None = None, progress=None) -> RunLo
 
     progress, if given, is called with each EpochRecord as it lands.
 
-    Memory: each step's autodiff graph (activations, im2col columns, backward
-    closures) is freed right after its optimizer step, before the next
-    forward or the train-eval pass allocates, so at most one graph is alive.
-    On glibc the first call also sets the process's malloc thresholds (see
-    _keep_freed_pages) so freed pages stay in the heap for the next step;
-    the process RSS then stays at its high-water mark after train() returns.
+    Memory: the splits stay uint8, and each batch's float32 images are built
+    only when the loop reads that batch, so no float copy of a whole split
+    and at most one training batch is alive. Each step's autodiff graph
+    (activations, im2col columns, backward closures) is released when its
+    backward walk ends, before the next forward or the train-eval pass
+    allocates, so at most one graph is alive. On glibc the first call also
+    sets the process's malloc thresholds (see _keep_freed_pages) so freed
+    pages stay in the heap for the next step; the process RSS then stays at
+    its high-water mark after train() returns.
     """
     _keep_freed_pages()
     config.validate()
@@ -177,7 +199,7 @@ def train(config: TrainConfig, echo: dict | None = None, progress=None) -> RunLo
         epoch += 1
         started = time.perf_counter()
         for bi, batch in enumerate(make_batches(train_samples, config.batch_size, config.seed ^ epoch)):
-            scores = model(batch.images)
+            scores = _checked_forward(model, batch.images, f"at epoch {epoch}, batch {bi}")
             loss = loss_fn(scores, batch.targets)
             value = loss.item()
             if not math.isfinite(value):
@@ -188,17 +210,17 @@ def train(config: TrainConfig, echo: dict | None = None, progress=None) -> RunLo
                 optimizer.step()
             except NumericError as e:
                 raise NumericError(f"{e} at epoch {epoch}, batch {bi}") from e
-            del scores, loss  # free this step's graph before the next forward builds one
+            del scores, loss  # backward() released the graph; drop its scores and loss too
 
-        train_loss, train_counts = eval_split(model, train_samples, eval_loss_fn)
+        try:
+            train_loss, train_counts = eval_split(model, train_samples, eval_loss_fn)
+            val_counts = eval_split(model, val_samples)[1] if val_samples else None
+        except NumericError as e:
+            raise NumericError(f"epoch {epoch}: {e}") from e
         train_acc = (train_counts.tp + train_counts.tn) / train_counts.total
         if not math.isfinite(train_loss):
             raise NumericError(f"non-finite train loss {train_loss} at epoch {epoch}")
-        if val_samples:
-            _, val_counts = eval_split(model, val_samples)
-            val_acc = (val_counts.tp + val_counts.tn) / val_counts.total
-        else:
-            val_acc = float("nan")
+        val_acc = (val_counts.tp + val_counts.tn) / val_counts.total if val_samples else float("nan")
         record = EpochRecord(epoch, driver.stage_number, train_loss, train_acc, val_acc)
         log.records.append(record)
         log.wall_seconds.append(time.perf_counter() - started)
@@ -430,7 +452,7 @@ def run_ablation(suite: str, base: TrainConfig, seeds, out_dir, jobs: int = 1) -
             cfg = replace(cfg, seed=seed, out_dir=str(out_dir / arm / f"seed_{seed}"))
             if not cfg.data_root:
                 raise ConfigError("data.root is required for ablation runs")
-            cfg.validate()
+            cfg.validate(pretrain_pending=pre_path is not None)
             run_jobs.append((arm, seed, cfg))
     arm_order = list(dict.fromkeys(arm for arm, _, _ in run_jobs))
 

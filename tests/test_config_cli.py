@@ -88,6 +88,25 @@ class TestConfigFiles:
         with pytest.raises(ConfigError, match="data.ratios must be three non-negative values"):
             build_config(None, [("data.ratios", ratios)])
 
+    @pytest.mark.parametrize("key", ["optim.learning_rate", "optim.momentum", "optim.epsilon",
+                                     "loss.gamma", "train.loss_threshold"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_float_knobs_are_rejected(self, key, value):
+        with pytest.raises(ConfigError, match="must be finite"):
+            build_config(None, [(key, value)])
+
+    @pytest.mark.parametrize("sub", ["", "sub"])
+    def test_out_dir_under_an_existing_file_is_rejected(self, tmp_path, sub):
+        blocker = tmp_path / "taken"
+        blocker.write_text("", encoding="utf-8")
+        with pytest.raises(ConfigError, match="is not a directory"):
+            build_config(None, [("train.out_dir", str(blocker / sub))])
+
+    def test_missing_pretrain_checkpoint_is_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="is not a file"):
+            build_config(None, [("paradigm.kind", "tl"), ("model.kind", "backbone"),
+                                ("paradigm.pretrain_checkpoint", str(tmp_path / "missing.bct1"))])
+
     def test_flatten_round_trips(self):
         config = build_config(None, [
             ("train.seed", "11"),
@@ -214,6 +233,22 @@ class TestExitCodes:
         assert main(["train", "--data.root", "/does/not/exist", "--quiet"]) == 3
         assert "data error" in capsys.readouterr().err
 
+    def test_diverging_training_is_4(self, workspace, capsys):
+        assert main([
+            "train", "--quiet", "--data.root", str(workspace / "ds"), "--data.image_size", "16",
+            "--model.channels", "4,8,8", "--model.dense_width", "16", "--train.batch_size", "8",
+            "--optim.learning_rate", "1e30",
+        ]) == 4
+        assert "numeric error: non-finite scores at epoch 1, batch 1" in capsys.readouterr().err
+
+    def test_out_dir_that_is_a_file_is_2_before_training(self, workspace, tmp_path, capsys):
+        blocker = tmp_path / "taken"
+        blocker.write_text("", encoding="utf-8")
+        assert main(["train", "--data.root", str(workspace / "ds"), "--data.image_size", "16",
+                     "--train.out_dir", str(blocker)]) == 2
+        captured = capsys.readouterr()
+        assert "is not a directory" in captured.err and "epoch" not in captured.out
+
     def test_numeric_error_is_4(self, workspace, monkeypatch, capsys):
         from bct import cli as cli_mod
         from bct.errors import NumericError
@@ -254,6 +289,15 @@ class TestExitCodes:
             assert main(argv) == 3
             err = capsys.readouterr().err
             assert re.search(re.escape(str(log)) + match, err), err
+
+    @pytest.mark.parametrize("train_acc, val_acc", [("0.5", "inf"), ("0.5", "-7"), ("-7", "0.5"), ("1.5", "nan")])
+    def test_runlog_accuracy_outside_unit_interval_is_3(self, tmp_path, capsys, train_acc, val_acc):
+        log = tmp_path / "runlog.csv"
+        log.write_text("epoch,stage,train_loss,train_acc,val_acc\n1,1,0.5,0.5,0.5\n"
+                       f"2,1,0.4,{train_acc},{val_acc}\n", encoding="utf-8")
+        for argv in (["plot", "--run", str(tmp_path)], ["inspect", str(log)]):
+            assert main(argv) == 3
+            assert re.search(re.escape(str(log)) + r":3: train_acc must lie in \[0, 1\]", capsys.readouterr().err)
 
     def test_inspect_json_that_is_not_utf8_is_3(self, tmp_path, capsys):
         path = tmp_path / "eval.jsonl"

@@ -1,6 +1,11 @@
+import math
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
+from bct import data as data_mod
 from bct.data import (
     MANIFEST_NAME,
     allocate_splits,
@@ -319,6 +324,57 @@ class TestSamplesAndBatches:
     def test_empty_split_errors(self, dataset):
         with pytest.raises(DataError):
             make_batches(load_split(dataset, "train")[:0], 4, 0)
+
+
+class TestDecodedBytesAndLazyBatches:
+    """A split keeps its decoded bytes; each batch's floats are built only when it is read."""
+
+    @pytest.fixture
+    def split(self, tmp_path):
+        return load_split(synth_generate(tmp_path, n_per_class=8, seed=5, image_size=16), "train")
+
+    def test_pixels_are_the_decoded_bytes(self, split):
+        assert split.pixels.dtype == np.uint8
+        assert split.pixels.nbytes == len(split) * 3 * 16 * 16
+        assert split.images.tobytes() == (split.pixels.astype(np.float32) / np.float32(255.0)).tobytes()
+        assert split[2:5].pixels.base is split.pixels  # a slice gathers no bytes
+
+    def test_make_batches_allocates_under_one_batch(self, split):
+        one_batch = 4 * 3 * 16 * 16 * np.dtype(np.float32).itemsize
+        tracemalloc.start()
+        try:
+            batches = make_batches(split, 4, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(batches) == math.ceil(len(split) / 4) > 1
+        assert peak < one_batch
+
+    def test_reading_batches_keeps_one_batch_alive(self, split, monkeypatch):
+        real, refs = data_mod.stack_batch, []
+
+        def stack(sub):
+            batch = real(sub)
+            refs.append(weakref.ref(batch.images.data))
+            return batch
+
+        monkeypatch.setattr(data_mod, "stack_batch", stack)
+        batches = make_batches(split, 3, seed=1)
+        assert refs == []  # nothing is gathered before it is read
+        for i, _ in enumerate(batches):
+            assert len(refs) == i + 1
+            assert sum(r() is not None for r in refs) == 1
+        assert len(refs) == len(batches)
+
+    def test_indexing_reads_the_same_batches(self, split):
+        batches = make_batches(split, 5, seed=2)
+        n = len(batches)
+        walked = [b.ids.tolist() for b in batches]
+        assert [batches[i].ids.tolist() for i in range(n)] == walked
+        assert [batches[i - n].ids.tolist() for i in range(n)] == walked
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                batches[i]
 
 
 # ---- the array-backed split against the per-sample decode it replaced

@@ -158,6 +158,22 @@ class TestBackward:
         y.backward()
         assert y.grad == np.ones(())
 
+    def test_second_backward_on_a_spent_graph_raises(self, f64):
+        x = f64([1.0])
+        y = ((x * 2.0) * 5.0).sum()
+        y.backward()
+        with pytest.raises(ValueError, match="already walked"):
+            y.backward()
+        np.testing.assert_array_equal(x.grad, [10.0])
+        assert y.grad == np.ones(())
+
+    def test_new_graph_through_a_spent_node_raises(self, f64):
+        x = f64([1.0])
+        a = x * 2.0
+        a.sum().backward()
+        with pytest.raises(ValueError, match="already walked"):
+            (a * 3.0).sum().backward()
+
     def test_tape_topological_order(self, f64):
         x = f64([1.0])
         a = x * 2.0

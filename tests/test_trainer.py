@@ -6,6 +6,7 @@ well under a second; the full-scale behavior lives in test_acceptance.py.
 
 import json
 import math
+import tracemalloc
 import weakref
 from types import SimpleNamespace
 
@@ -18,6 +19,7 @@ from bct.config import ModelConfig, TrainConfig
 from bct.data import synth_generate
 from bct.errors import ConfigError, DataError, NumericError
 from bct.layers import Model
+from bct.optim import OptimizerConfig
 from bct.staging import pretrain_source
 from bct.tensor import Tensor
 from bct.trainer import EpochRecord, RunLog, check_convergence, run_ablation, runlog_csv, train
@@ -94,6 +96,21 @@ class TestTrainLoop:
         with pytest.raises(NumericError, match="epoch 1, batch 0"):
             train(small_config(dataset))
 
+    def test_diverging_forward_names_epoch_batch_and_layer(self, dataset):
+        # step 1 leaves huge but finite weights; the next forward's scores are NaN
+        config = small_config(dataset, optim=OptimizerConfig(learning_rate=1e30))
+        with pytest.raises(NumericError, match=r"non-finite scores at epoch 1, batch 1; "
+                                               r"first non-finite output from layer 12 \(dense2\)"):
+            train(config)
+
+    def test_non_finite_eval_scores_name_the_batch_and_layer(self, dataset):
+        config = small_config(dataset)
+        model = trainer.build_model(config)
+        model.params["dense1.weight"].data[0, 0] = np.inf
+        samples = trainer.load_split(config.manifest(), "train")
+        with pytest.raises(NumericError, match=r"in evaluation batch 0; first non-finite output from layer 10 \(dense1\)"):
+            trainer.eval_split(model, samples, batch_size=4)
+
     def test_non_finite_gradient_names_parameter_epoch_and_batch(self, dataset, monkeypatch):
         # a finite loss whose gradient is NaN from the second training batch on
         real_make_loss, steps = trainer.make_loss, []
@@ -157,6 +174,21 @@ class TestStepMemory:
         train(small_config(dataset))
         steps = 2 * math.ceil(len(trainer.load_split(small_config(dataset).manifest(), "train")) / 8)
         assert checks == [0] * steps  # every step checked, none of its graph still alive
+
+    def test_train_holds_no_float_copy_of_the_split(self, tmp_path):
+        # 400 train images whose float32 values take 1.2 MiB; a loop that holds the
+        # float split and the epoch's stacked batches peaks above twice that
+        synth_generate(tmp_path, n_per_class=250, seed=1, image_size=16, cell_size=4)
+        config = TrainConfig(data_root=str(tmp_path), image_size=16, batch_size=4, max_epochs=1,
+                             model=ModelConfig(channels=(2,), dense_width=4, kernel_size=1))
+        train_floats = len(trainer.load_split(config.manifest(), "train")) * 3 * 16 * 16 * 4
+        tracemalloc.start()
+        try:
+            train(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * train_floats
 
     def test_allocator_settings_fall_back_silently(self, monkeypatch):
         keep = trainer._keep_freed_pages.__wrapped__  # uncached: each call really runs
