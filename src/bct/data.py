@@ -394,7 +394,10 @@ def load_split(manifest: DatasetManifest, split: str) -> Split:
     _check_split(split)
     entries = [(img_id, label) for img_id, label, s in manifest.entries if s == split]
     size = manifest.image_size
-    pixels = np.empty((len(entries), 3, size, size), dtype=np.uint8)
+    try:
+        pixels = np.empty((len(entries), 3, size, size), dtype=np.uint8)
+    except (ValueError, MemoryError) as e:  # more bytes than an array or this machine can hold
+        raise DataError(f"{manifest.root}: cannot hold {len(entries)} {split} images at image_size {size}: {e}") from None
     for slot, (img_id, _) in zip(pixels, entries):
         image = read_ppm(Path(manifest.root) / img_id)
         if image.shape[:2] != (size, size):

@@ -5,7 +5,7 @@ composing primitives. Both work on the k*k strided window views of their
 input (one view per kernel offset, always in (ky, kx) order). Conv2d copies
 the views into channel-major im2col columns and contracts them with one
 BLAS GEMM per sample, so an output's bytes do not depend on its batch and
-no-grad forwards can stream the columns in chunks (see Conv2d). MaxPool2d
+every forward streams the columns in bounded chunks (see Conv2d). MaxPool2d
 reduces the views pairwise with np.maximum and finds the gradient routing
 only when its backward runs. Every scatter-add walks the offsets in the
 same order, so gradients are bit-reproducible.
@@ -19,18 +19,20 @@ Layout is NCHW. Parameter names inside a layer are "weight" and "bias";
 Model prefixes them with the layer's name ("conv1.weight", ...).
 """
 
+import math
+
 import numpy as np
 
 from .rng import Rng, derive
-from .tensor import ShapeError, Tensor, recording
+from .tensor import ShapeError, Tensor
 
-_COLS_BYTES = 1 << 22  # the im2col buffer of a forward that no backward reads
+_COLS_BYTES = 1 << 22  # the im2col columns a conv forward fills at a time
 
 
 def glorot_uniform(rng: Rng, shape: tuple, fan_in: int, fan_out: int, dtype) -> np.ndarray:
     """Uniform(-limit, limit) with limit = sqrt(6 / (fan_in + fan_out))."""
     limit = float(np.sqrt(6.0 / (fan_in + fan_out)))
-    n = int(np.prod(shape))
+    n = math.prod(shape)  # python ints: a huge shape must not wrap around
     return rng.uniform(n, -limit, limit).reshape(shape).astype(dtype)
 
 
@@ -39,7 +41,7 @@ def _weight_and_bias(kind: str, wshape: tuple, weight, bias, rng: Rng | None, dt
     if weight is None:
         if rng is None:
             raise ValueError(f"{kind}: pass an explicit weight or an init rng")
-        receptive = int(np.prod(wshape[2:]))
+        receptive = math.prod(wshape[2:])
         weight = glorot_uniform(rng, wshape, wshape[1] * receptive, wshape[0] * receptive, dtype)
     weight = np.asarray(weight, dtype=dtype)
     bias = np.zeros(wshape[0], dtype=dtype) if bias is None else np.asarray(bias, dtype=dtype)
@@ -54,17 +56,34 @@ def _windows(k: int, s: int, ho: int, wo: int) -> list:
     return [(..., slice(ky, ky + s * ho, s), slice(kx, kx + s * wo, s)) for ky in range(k) for kx in range(k)]
 
 
+def _im2col(xp: np.ndarray, win: list, buf: np.ndarray) -> np.ndarray:
+    """The im2col columns of a channel-major map xp (C, N, H, W), written into the front of buf.
+
+    Row c * len(win) + i of the (C * len(win), N, ho * wo) result holds window view i of channel c.
+    """
+    c, n = xp.shape[:2]
+    ho, wo = xp[win[0]].shape[2:]
+    cols = buf[: c * len(win) * n * ho * wo].reshape(c, len(win), n, ho, wo)
+    for i, v in enumerate(win):
+        cols[:, i] = xp[v]
+    return cols.reshape(c * len(win), n, ho * wo)
+
+
 class Conv2d:
     """2-D cross-correlation with optional zero padding.
 
     weight shape (out_channels, in_channels, kh, kw), bias shape (out_channels,).
     Output spatial dims must come out integral: (H + 2p - k) divisible by stride.
 
-    When the op is recorded for backward, forward keeps the whole batch's
-    im2col columns, as the weight gradient is one GEMM over all of them.
-    Otherwise (no_grad, or nothing requires grad) it fills and contracts at
-    most _COLS_BYTES of columns at a time. Each sample is its own GEMM with
-    the same operands either way, so both paths give the same bytes.
+    Forward fills and contracts at most _COLS_BYTES of im2col columns at a
+    time (at least one sample's). Each sample is its own GEMM, so the output
+    bytes do not depend on the chunking. The weight gradient is one GEMM
+    over the whole batch's columns, as its bytes depend on that: when the
+    batch fit in one chunk, backward reuses that buffer; otherwise the
+    recorded op keeps only the padded input, and backward rebuilds the
+    columns with the same window copies and frees them after that GEMM.
+    The input gradient runs in the forward's chunks, a sample's GEMM and
+    scatter-adds at a time, so its bytes do not depend on them either.
     """
 
     def __init__(
@@ -117,27 +136,30 @@ class Conv2d:
         xp = np.zeros((c, n, h + 2 * p, w + 2 * p), x.dtype)  # channel-major, zero border
         xp[:, :, p : p + h, p : p + w] = x.data.transpose(1, 0, 2, 3)
         win, ckk = _windows(k, s, ho, wo), c * k * k
-        m = n if recording((x, weight, bias)) else min(n, max(1, _COLS_BYTES // (ckk * ho * wo * xp.itemsize)))
+        m = max(1, min(n, _COLS_BYTES // (ckk * ho * wo * xp.itemsize)))  # samples per chunk
         buf, w2 = np.empty(ckk * m * ho * wo, x.dtype), weight.data.reshape(oc, ckk)
         out = np.empty((n, oc, ho * wo), np.result_type(w2, xp))  # C order fixes g.sum's order
-        for j in range(0, n, max(m, 1)):
-            xj, cols = xp[:, j : j + m], buf[: ckk * min(m, n - j) * ho * wo].reshape(c, k * k, -1, ho, wo)
-            for i, v in enumerate(win):
-                cols[:, i] = xj[v]
-            cols = cols.reshape(ckk, -1, ho * wo)
+        for j in range(0, n, m):
+            cols = _im2col(xp[:, j : j + m], win, buf)
             np.matmul(w2, cols.transpose(1, 0, 2), out=out[j : j + m])  # one GEMM per sample
         out += bias.data[:, None]
+        saved = buf if m == n else xp  # the whole batch's columns, or what rebuilds them
 
         def backward(g):
             g2 = g.reshape(n, oc, ho * wo)
             gt = g2.transpose(1, 0, 2).reshape(oc, n * ho * wo)
-            weight.accumulate_grad(np.dot(buf.reshape(ckk, -1), gt.T).T.reshape(weight.shape))
+            cols = saved if m == n else _im2col(saved, win, np.empty(ckk * n * ho * wo, saved.dtype))
+            weight.accumulate_grad(np.dot(cols.reshape(ckk, -1), gt.T).T.reshape(weight.shape))
+            del cols  # rebuilt columns go before dx allocates
             bias.accumulate_grad(g2.sum(axis=(0, 2)))
             if x.requires_grad:
-                dpatches = np.matmul(w2.T, g2).reshape(n, c, k * k, ho, wo)
                 dxp = np.zeros((n, c, h + 2 * p, w + 2 * p), x.dtype)
-                for i, v in enumerate(win):
-                    np.add(dxp[v], dpatches[:, :, i], out=dxp[v])
+                for j in range(0, n, m):
+                    dj = dxp[j : j + m]
+                    dpatches = np.matmul(w2.T, g2[j : j + m]).reshape(-1, c, k * k, ho, wo)
+                    for i, v in enumerate(win):
+                        np.add(dj[v], dpatches[:, :, i], out=dj[v])
+                    del dpatches  # before the next chunk's GEMM allocates
                 x.accumulate_grad(dxp[:, :, p : p + h, p : p + w])
 
         return Tensor.from_op(out.reshape(n, oc, ho, wo), (x, weight, bias), backward)

@@ -16,7 +16,6 @@ scores.grad keeps the chain's bytes (tests/test_losses.py checks this with
 the upstream gradient varied).
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,8 +39,8 @@ class LossSpec:
     def validate(self) -> None:
         if self.kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss kind {self.kind!r}; expected one of {LOSS_KINDS}")
-        if not math.isfinite(self.gamma):
-            raise ValueError(f"loss gamma must be finite, got {self.gamma}")
+        if not abs(self.gamma) <= float(np.finfo(np.float32).max):  # NaN fails too
+            raise ValueError(f"loss gamma must be finite in float32, got {self.gamma}")
         if self.kind == "focal" and self.gamma < 0:
             raise ValueError(f"focal gamma must be >= 0, got {self.gamma}")
         if self.reduction not in REDUCTIONS:

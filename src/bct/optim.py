@@ -11,7 +11,6 @@ counter t advances once per step() call regardless of freezing.
 """
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +19,7 @@ from .errors import NumericError
 from .tensor import Tensor
 
 OPTIMIZER_KINDS = ("sgd", "adam", "rectadam")
+_F32_TINY, _F32_MAX = float(np.finfo(np.float32).smallest_subnormal), float(np.finfo(np.float32).max)
 
 
 @dataclass
@@ -34,19 +34,21 @@ class OptimizerConfig:
     _DEFAULT_LR = {"sgd": 0.01, "adam": 0.001, "rectadam": 0.001}
 
     def validate(self) -> None:
+        """Reject values the float32 update cannot use: each factor must round to a finite float32,
+        and the learning rate and epsilon to a nonzero one."""
         if self.kind not in OPTIMIZER_KINDS:
             raise ValueError(f"unknown optimizer {self.kind!r}; expected one of {OPTIMIZER_KINDS}")
         lr = self.resolved_lr()  # the comparisons are written so that NaN and inf fail them
-        if not 0 < lr < math.inf:
-            raise ValueError(f"learning rate must be finite and > 0, got {lr}")
-        if not 0 <= self.momentum < math.inf:
-            raise ValueError(f"momentum must be finite and >= 0, got {self.momentum}")
+        if not _F32_TINY <= lr <= _F32_MAX:
+            raise ValueError(f"learning rate must be finite in float32 and > 0, got {lr}")
+        if not 0 <= self.momentum <= _F32_MAX:
+            raise ValueError(f"momentum must be finite in float32 and >= 0, got {self.momentum}")
         for name in ("beta1", "beta2"):
             b = getattr(self, name)
             if not 0 <= b < 1:
                 raise ValueError(f"{name} must be in [0, 1), got {b}")
-        if not 0 < self.epsilon < math.inf:
-            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
+        if not _F32_TINY <= self.epsilon <= _F32_MAX:
+            raise ValueError(f"epsilon must be finite in float32 and > 0, got {self.epsilon}")
 
     def resolved_lr(self) -> float:
         return self._DEFAULT_LR[self.kind] if self.learning_rate is None else self.learning_rate
@@ -138,23 +140,24 @@ class Optimizer:
         lr, b1, b2, eps = cfg.resolved_lr(), cfg.beta1, cfg.beta2, cfg.epsilon
         bc1, bc2 = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
         r_t = rectification_term(self.t, b2)[1] if cfg.kind == "rectadam" else 1.0
-        for run in self.runs:
-            w, g, m = self.flat_data[run], self.flat_grad[run], self.flat_m[run]
-            if cfg.kind == "sgd":
-                m *= dt(cfg.momentum)
-                m += g
-                w -= dt(lr) * m
-                continue
-            v = self.flat_v[run]
-            m *= dt(b1)
-            m += dt(1.0 - b1) * g
-            v *= dt(b2)
-            v += dt(1.0 - b2) * g * g
-            m_hat = m / dt(bc1)
-            if r_t is None:  # variance still untrustworthy: plain bias-corrected momentum step
-                w -= dt(lr) * m_hat
-            else:
-                w -= dt(lr * r_t) * m_hat / (np.sqrt(v / dt(bc2)) + dt(eps))
+        with np.errstate(over="ignore", invalid="ignore"):  # _check_finite names the parameter
+            for run in self.runs:
+                w, g, m = self.flat_data[run], self.flat_grad[run], self.flat_m[run]
+                if cfg.kind == "sgd":
+                    m *= dt(cfg.momentum)
+                    m += g
+                    w -= dt(lr) * m
+                    continue
+                v = self.flat_v[run]
+                m *= dt(b1)
+                m += dt(1.0 - b1) * g
+                v *= dt(b2)
+                v += dt(1.0 - b2) * g * g
+                m_hat = m / dt(bc1)
+                if r_t is None:  # variance still untrustworthy: plain bias-corrected momentum step
+                    w -= dt(lr) * m_hat
+                else:
+                    w -= dt(lr * r_t) * m_hat / (np.sqrt(v / dt(bc2)) + dt(eps))
         self._check_finite(self.flat_data, "value after the update")
 
     def _check_finite(self, flat: np.ndarray, what: str) -> None:

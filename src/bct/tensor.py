@@ -4,8 +4,11 @@ A Tensor wraps an ndarray plus an optional gradient buffer. Differentiable
 ops build new tensors that remember their parents and a backward closure;
 ``backward()`` on a scalar walks the recorded graph once in reverse
 topological order, accumulating gradients additively so fan-out just works,
-then releases it: the leaves and the root keep their gradients, and a
-second ``backward()`` through any node of that graph raises ValueError.
+and releases each node as soon as its closure has run: a second
+``backward()`` through any node of that graph raises ValueError, and an
+interior node that the caller does not hold is freed, with its output, its
+gradient and the arrays its closure saved, before the walk reaches the
+nodes below it. The leaves and the root keep their gradients.
 
 The ops: ``+`` and ``*`` (with a tensor or a python scalar), ``**`` (python
 scalar exponent), ``sum`` and ``reshape``; ``argmax`` and ``item`` read values
@@ -48,11 +51,6 @@ def no_grad():
         _grad_enabled = prev
 
 
-def recording(parents) -> bool:
-    """Whether an op on these parents is recorded for backward."""
-    return _grad_enabled and any(p.requires_grad for p in parents)
-
-
 def _as_float_dtype(dtype):
     dt = np.dtype(dtype)
     if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
@@ -77,7 +75,7 @@ class Tensor:
         out = cls.__new__(cls)
         out.data = data
         out.grad = out.grad_view = None
-        out.requires_grad = rec = recording(parents)
+        out.requires_grad = rec = _grad_enabled and any(p.requires_grad for p in parents)
         out._parents, out._backward = (tuple(parents), backward) if rec else ((), None)
         return out
 
@@ -104,10 +102,6 @@ class Tensor:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def __repr__(self):
-        flag = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor(shape={self.shape}, dtype={self.dtype.name}{flag})"
-
     # ---- gradient plumbing ----
 
     def accumulate_grad(self, g: np.ndarray) -> None:
@@ -126,11 +120,12 @@ class Tensor:
             raise ValueError("backward() on a tensor that does not require grad")
         self.grad = np.ones_like(self.data)
         nodes = topo_order(self)
-        for node in reversed(nodes):
+        while nodes:
+            node = nodes.pop()
             if node._backward is not None:
                 node._backward(node.grad)
-        for node in nodes:  # release the graph; a second walk through it raises
-            if node._backward is not None:
+                # release it now: a second walk through it raises, and what only it
+                # holds (its output, its gradient, its closure's arrays) is freed
                 node._parents, node._backward = (), _spent
 
     # ---- binary elementwise ----

@@ -2,6 +2,7 @@
 
 import json
 import re
+import warnings
 
 import pytest
 
@@ -240,6 +241,19 @@ class TestExitCodes:
             "--optim.learning_rate", "1e30",
         ]) == 4
         assert "numeric error: non-finite scores at epoch 1, batch 1" in capsys.readouterr().err
+
+    def test_diverging_training_prints_only_its_numeric_error(self, workspace, capsys):
+        # the forward's overflow and NaN would otherwise warn from layer code first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([
+                "train", "--quiet", "--data.root", str(workspace / "ds"), "--data.image_size", "16",
+                "--model.channels", "4,8,8", "--model.dense_width", "16", "--train.batch_size", "8",
+                "--optim.learning_rate", "1e30",
+            ])
+        assert code == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numeric error: non-finite scores at epoch 1, batch 1")
 
     def test_out_dir_that_is_a_file_is_2_before_training(self, workspace, tmp_path, capsys):
         blocker = tmp_path / "taken"

@@ -583,12 +583,13 @@ def test_pool_backward_into_an_existing_gradient(dtype, k, stride):
     assert_same_bytes(xt.grad, want)
 
 
-# ---- no-grad conv forwards stream their im2col columns ----
+# ---- conv forwards stream their im2col columns ----
 #
-# A forward that no backward reads fills and contracts at most _COLS_BYTES of
-# columns at a time. The tests shrink the limit to CHUNK samples' columns, so
-# each batch spans several chunks and ends on a short one, and spy on
-# np.matmul to see the chunk sizes the forward really used.
+# Every forward fills and contracts at most _COLS_BYTES of columns at a time,
+# and the input gradient runs in the same chunks. The tests shrink the limit to
+# CHUNK samples' columns, so each batch spans several chunks and ends on a
+# short one, and spy on np.matmul and np.dot to see the chunk sizes the layer
+# really used.
 
 CHUNK = 3
 CHUNKED_CONVS = [  # (n, c, oc, size, k, stride, padding)
@@ -600,18 +601,25 @@ CHUNKED_CONVS = [  # (n, c, oc, size, k, stride, padding)
 
 @pytest.fixture
 def chunk_sizes(monkeypatch):
-    """Shrink _COLS_BYTES to CHUNK samples of a conv; returns (set_limit, sizes of each forward GEMM stack)."""
-    sizes, real = [], np.matmul
+    """-> (set_limit, sizes, dots): set_limit(samples, ...) shrinks _COLS_BYTES to that
+    many samples' columns of a conv; sizes gets the stack size of each np.matmul
+    (its out's, else its second operand's), and dots each np.dot's first operand shape."""
+    sizes, dots, matmul, dot = [], [], np.matmul, np.dot
 
-    def spy(a, b, **kw):
-        sizes.append(kw["out"].shape[0] if "out" in kw else None)
-        return real(a, b, **kw)
+    def spy_matmul(a, b, **kw):
+        sizes.append(kw["out"].shape[0] if "out" in kw else b.shape[0])
+        return matmul(a, b, **kw)
 
-    def set_limit(c, k, ho, wo, dtype):
-        monkeypatch.setattr(bct.layers, "_COLS_BYTES", CHUNK * c * k * k * ho * wo * np.dtype(dtype).itemsize)
+    def spy_dot(a, b, *args):
+        dots.append(a.shape)
+        return dot(a, b, *args)
 
-    monkeypatch.setattr(np, "matmul", spy)
-    return set_limit, sizes
+    def set_limit(samples, c, k, ho, wo, dtype):
+        monkeypatch.setattr(bct.layers, "_COLS_BYTES", samples * c * k * k * ho * wo * np.dtype(dtype).itemsize)
+
+    monkeypatch.setattr(np, "matmul", spy_matmul)
+    monkeypatch.setattr(np, "dot", spy_dot)
+    return set_limit, sizes, dots
 
 
 def chunked_conv(rng, dtype, n, c, oc, size, k, stride, padding):
@@ -624,32 +632,77 @@ def chunked_conv(rng, dtype, n, c, oc, size, k, stride, padding):
 @pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("n, c, oc, size, k, stride, padding", CHUNKED_CONVS)
 def test_no_grad_conv_chunks_give_the_recorded_bytes(chunk_sizes, dtype, n, c, oc, size, k, stride, padding):
-    set_limit, sizes = chunk_sizes
+    set_limit, sizes, _ = chunk_sizes
     conv, x = chunked_conv(np.random.default_rng(n), dtype, n, c, oc, size, k, stride, padding)
-    set_limit(c, k, *conv.out_shape(size, size), dtype)
-    recorded = conv(Tensor(x, dtype=dtype))
-    assert recorded.requires_grad and sizes == [n]  # the weights require grad: one chunk
+    shape = (c, k, *conv.out_shape(size, size), dtype)
+    set_limit(n, *shape)
+    whole = conv(Tensor(x, dtype=dtype))
+    assert sizes == [n]  # the whole batch in one chunk
+    set_limit(CHUNK, *shape)
     chunks = [CHUNK] * (n // CHUNK) + [n % CHUNK]
+    sizes.clear()
+    recorded = conv(Tensor(x, dtype=dtype))
+    assert recorded.requires_grad and sizes == chunks  # the weights require grad: chunked all the same
+    assert_same_bytes(recorded.data, whole.data)
     sizes.clear()
     with no_grad():
         streamed = conv(Tensor(x, dtype=dtype))
     assert sizes == chunks
-    assert_same_bytes(streamed.data, recorded.data)
+    assert_same_bytes(streamed.data, whole.data)
     for t in conv.params().values():
         t.requires_grad = False  # nothing to record, even with grad enabled
     sizes.clear()
     frozen = conv(Tensor(x, dtype=dtype))
     assert not frozen.requires_grad and sizes == chunks
-    assert_same_bytes(frozen.data, recorded.data)
+    assert_same_bytes(frozen.data, whole.data)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("n, c, oc, size, k, stride, padding", CHUNKED_CONVS)
 def test_recorded_conv_keeps_full_columns_under_a_small_limit(chunk_sizes, dtype, n, c, oc, size, k, stride, padding):
-    set_limit, sizes = chunk_sizes
-    set_limit(c, k, *Conv2d(c, oc, k, stride, padding, rng=Rng(0)).out_shape(size, size), dtype)
+    # forward and dx run in chunks, but the weight gradient is still one GEMM
+    # over the whole batch's columns, which backward rebuilds
+    set_limit, sizes, dots = chunk_sizes
+    ho, wo = Conv2d(c, oc, k, stride, padding, rng=Rng(0)).out_shape(size, size)
+    set_limit(CHUNK, c, k, ho, wo, dtype)
     check_conv(np.random.default_rng(size), dtype, n, c, oc, size, k, stride, padding)
-    assert sizes[0] == n and set(sizes[1:]) == {None}  # one forward GEMM stack; then dx's and the oracle's
+    chunks = [CHUNK] * (n // CHUNK) + [n % CHUNK]
+    assert sizes == chunks + chunks + [n, n]  # forward, then dx; then the oracle's two
+    assert dots == [(c * k * k, n * ho * wo)]  # dW
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("n, c, oc, size, k, stride, padding", CHUNKED_CONVS + [(8, 3, 2, 32, 3, 1, 1), (3, 2, 3, 4, 3, 1, 1)])
+def test_conv_gradients_do_not_depend_on_the_column_limit(monkeypatch, dtype, n, c, oc, size, k, stride, padding):
+    # one sample's columns at a time against the whole batch's, also below the
+    # GEMM size where the weight gradient's bytes may differ from the oracle's
+    results = []
+    for limit in (1, 1 << 40):
+        monkeypatch.setattr(bct.layers, "_COLS_BYTES", limit)
+        conv, x = chunked_conv(np.random.default_rng(n), dtype, n, c, oc, size, k, stride, padding)
+        xt = Tensor(x, requires_grad=True, dtype=dtype)
+        out = conv(xt)
+        out._backward(np.random.default_rng(size).standard_normal(out.shape).astype(dtype))
+        results.append([out.data, xt.grad, conv.weight.grad, conv.bias.grad])
+    for got, want in zip(*results):
+        assert_same_bytes(got, want)
+
+
+def test_recorded_conv_holds_no_full_batch_columns():
+    # desk's training batch at conv1: its columns take 6.75 MiB, above the
+    # 4 MiB limit, so the recorded op keeps only the 0.8 MiB padded input
+    n, c, oc, size = 16, 3, 8, 64
+    conv = Conv2d(c, oc, 3, padding=1, rng=Rng(0))
+    x = Tensor(np.random.default_rng(0).standard_normal((n, c, size, size)).astype(np.float32))
+    full_cols = c * 9 * n * size * size * 4
+    tracemalloc.start()
+    try:
+        out = conv(x)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad
+    assert held < full_cols, f"held {held / 2**20:.1f} MiB after the forward"
 
 
 def test_no_grad_conv_peak_memory_stays_below_full_columns():

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -173,6 +175,30 @@ class TestBackward:
         a.sum().backward()
         with pytest.raises(ValueError, match="already walked"):
             (a * 3.0).sum().backward()
+
+    def test_walk_frees_an_interior_node_before_the_nodes_below_it(self, f64):
+        # x -> probe -> mid -> root; probe's closure runs after mid's, and by then
+        # mid, which nothing outside the tape holds, is gone with its output and gradient
+        x = f64([1.0, 2.0])
+        refs, dead = [], []
+
+        def probe_backward(g):
+            dead.extend(r() is None for r in refs)
+            x.accumulate_grad(g * 2.0)
+
+        def mid_backward(g):
+            refs.append(weakref.ref(g))
+            probe.accumulate_grad(g * 3.0)
+
+        probe = Tensor.from_op(x.data * 2.0, (x,), probe_backward)
+        mid = Tensor.from_op(probe.data * 3.0, (probe,), mid_backward)
+        refs.append(weakref.ref(mid.data))
+        root = mid.sum()
+        del mid
+        root.backward()
+        assert dead == [True, True]
+        np.testing.assert_array_equal(x.grad, [6.0, 6.0])
+        assert root.grad == np.ones(())
 
     def test_tape_topological_order(self, f64):
         x = f64([1.0])

@@ -18,10 +18,10 @@ from bct.checkpoint import read_checkpoint
 from bct.config import ModelConfig, TrainConfig
 from bct.data import synth_generate
 from bct.errors import ConfigError, DataError, NumericError
-from bct.layers import Model
+from bct.layers import Model, build_cnn
 from bct.optim import OptimizerConfig
 from bct.staging import pretrain_source
-from bct.tensor import Tensor
+from bct.tensor import Tensor, no_grad
 from bct.trainer import EpochRecord, RunLog, check_convergence, run_ablation, runlog_csv, train
 
 SMALL_MODEL = dict(kind="cnn", channels=(4, 8, 8), dense_width=16)
@@ -111,6 +111,16 @@ class TestTrainLoop:
         with pytest.raises(NumericError, match=r"in evaluation batch 0; first non-finite output from layer 10 \(dense1\)"):
             trainer.eval_split(model, samples, batch_size=4)
 
+    @pytest.mark.parametrize("rows", [21, 5, 1, 64])
+    def test_bounded_eval_gives_the_whole_batch_score_bytes(self, rows):
+        # desk's network and eval batch; the dense head sees all 64 rows either way
+        model = build_cnn(seed=1)
+        images = Tensor(np.random.default_rng(rows).random((64, 3, 64, 64), dtype=np.float32))
+        with no_grad():
+            whole = model(images).data
+            bounded = trainer._bounded_forward(model, images, rows).data
+        assert bounded.tobytes() == whole.tobytes()
+
     def test_non_finite_gradient_names_parameter_epoch_and_batch(self, dataset, monkeypatch):
         # a finite loss whose gradient is NaN from the second training batch on
         real_make_loss, steps = trainer.make_loss, []
@@ -189,6 +199,22 @@ class TestStepMemory:
         finally:
             tracemalloc.stop()
         assert peak < 2 * train_floats
+
+    def test_desk_shaped_train_stays_under_24_mib(self, tmp_path):
+        # desk's network and batch: a step that keeps conv1's and conv2's whole
+        # columns (6.75 + 4.5 MiB) and every interior gradient until its walk
+        # ends, or an eval pass that holds conv1's output for a whole batch,
+        # peaks above 31 MiB here; bounded, both stay near 17 MiB
+        synth_generate(tmp_path, n_per_class=20, seed=0, noise_level=0.1, image_size=64, cell_size=8)
+        config = TrainConfig(data_root=str(tmp_path), image_size=64, batch_size=16, max_epochs=1,
+                             model=ModelConfig(channels=(8, 16, 32)))
+        tracemalloc.start()
+        try:
+            train(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 << 20, f"traced peak {peak / 2**20:.1f} MiB"
 
     def test_allocator_settings_fall_back_silently(self, monkeypatch):
         keep = trainer._keep_freed_pages.__wrapped__  # uncached: each call really runs
