@@ -1,8 +1,8 @@
 """The bct command line: synth, train, evaluate, ablate, plot, inspect.
 
-Every config key is also a command-line flag (--train.seed 7 and friends),
-applied on top of the optional --config file. Errors map to fixed exit
-codes: bad configuration 2, bad data 3, numeric failure 4.
+train, evaluate and ablate read the tokens argparse leaves over as config keys,
+--key value or --key=value, applied in order after --config. Errors map to
+fixed exit codes: bad configuration 2, bad data 3, numeric failure 4.
 """
 
 import argparse
@@ -15,7 +15,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .checkpoint import CheckpointError, load_checkpoint, read_checkpoint
-from .config import KEYS, _parse_int_list, build_config
+from .config import KEYS, _parse_int_list, _reject_unknown, build_config, check_out_dir
 from .data import load_manifest, load_split, read_ppm, synth_generate
 from .errors import ConfigError, DataError, NumericError
 from .svgchart import line_chart
@@ -39,32 +39,18 @@ def _bold(text: str) -> str:
     return _style(text, "1")
 
 
-def _add_override_flags(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group(
-        "config overrides",
-        "any config key as a flag, e.g. --train.seed 7 --optim.kind rectadam; "
-        "keys: " + ", ".join(KEYS),
-    )
-    for key in KEYS:
-        group.add_argument(
-            f"--{key}",
-            action="append",
-            metavar="VALUE",
-            dest=f"ov__{key.replace('.', '_')}",
-            help=argparse.SUPPRESS,
-        )
-
-
-def _collect_overrides(args) -> list:
-    overrides = []
-    for key in KEYS:
-        for value in getattr(args, f"ov__{key.replace('.', '_')}") or ():
-            overrides.append((key, value))
-    return overrides
-
-
 def _config_from_args(args):
-    return build_config(args.config, _collect_overrides(args))
+    """build_config over the tokens argparse left, --key value (even a value that begins with '-') or --key=value."""
+    overrides, tokens = [], iter(args.overrides)
+    for token in tokens:
+        if not token.startswith("--"):
+            raise ConfigError(f"unexpected argument {token!r}; give config keys as --key value")
+        key, sep, value = token[2:].partition("=")
+        _reject_unknown(key, "command line")
+        if not sep and (value := next(tokens, None)) is None:
+            raise ConfigError(f"--{key}: expected a value")
+        overrides.append((key, value))
+    return build_config(args.config, overrides)
 
 
 def _parse_flag_ints(flag: str, text: str) -> tuple:
@@ -79,6 +65,7 @@ def _parse_flag_ints(flag: str, text: str) -> tuple:
 
 
 def cmd_synth(args) -> int:
+    check_out_dir(args.out, "--out")
     counts = None
     if args.counts:
         counts = _parse_flag_ints("--counts", args.counts)
@@ -128,6 +115,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    out = Path(args.out)
+    if out.is_dir() or not out.parent.is_dir():
+        raise ConfigError(f"--out {out}: expected a file in an existing directory")
     config = _config_from_args(args)
     if not config.data_root:
         raise ConfigError("evaluate needs data.root")
@@ -145,7 +135,7 @@ def cmd_evaluate(args) -> int:
         "counts": asdict(counts),
         "metrics": asdict(report),
     }
-    with open(args.out, "a", encoding="utf-8") as fh:
+    with open(out, "a", encoding="utf-8") as fh:
         fh.write(json.dumps(record, sort_keys=True) + "\n")
     print(
         f"{args.split}: n {counts.total}  acc {report.accuracy:.4f}  "
@@ -198,6 +188,8 @@ def _read_runlog(path: Path) -> list:
 
 
 def cmd_plot(args) -> int:
+    if args.out:
+        check_out_dir(args.out, "--out")
     run = Path(args.run)
     rows = _read_runlog(run / "runlog.csv")
     epochs = [float(r["epoch"]) for r in rows]
@@ -261,7 +253,7 @@ def _inspect_ppm(path: Path) -> None:
 def cmd_inspect(args) -> int:
     path = Path(args.path)
     if not path.is_file():
-        raise DataError(f"{path} does not exist")
+        raise DataError(f"{path} is not a file" if path.exists() else f"{path} does not exist")
     with open(path, "rb") as fh:
         magic = fh.read(4)
     if magic == b"BCT1":
@@ -289,6 +281,8 @@ def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bct", description="two-class image training workbench"
     )
+    epilog = ("Any config key is also a flag, --key value or --key=value (e.g. --train.seed 7), "
+              "applied in command-line order after --config. Keys: " + ", ".join(KEYS))
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic two-class dataset")
@@ -302,27 +296,24 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--cell", type=int, default=8, help="texture cell size in pixels")
     p.set_defaults(fn=cmd_synth)
 
-    p = sub.add_parser("train", help="train a model per the config")
+    p = sub.add_parser("train", help="train a model per the config", epilog=epilog)
     p.add_argument("--config", help="key = value config file")
     p.add_argument("--quiet", action="store_true", help="suppress per-epoch lines")
-    _add_override_flags(p)
     p.set_defaults(fn=cmd_train)
 
-    p = sub.add_parser("evaluate", help="score a checkpoint on a dataset split")
+    p = sub.add_parser("evaluate", help="score a checkpoint on a dataset split", epilog=epilog)
     p.add_argument("--config", help="key = value config file")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--split", choices=("train", "val", "test"), default="test")
     p.add_argument("--out", default="evaluate.jsonl", help="JSONL file to append to")
-    _add_override_flags(p)
     p.set_defaults(fn=cmd_evaluate)
 
-    p = sub.add_parser("ablate", help="run an ablation suite over seeds")
+    p = sub.add_parser("ablate", help="run an ablation suite over seeds", epilog=epilog)
     p.add_argument("--suite", choices=SUITES, required=True)
     p.add_argument("--config", help="key = value config file")
     p.add_argument("--seeds", required=True, help="comma-separated run seeds")
     p.add_argument("--out", required=True, help="directory for tables and runs")
     p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
-    _add_override_flags(p)
     p.set_defaults(fn=cmd_ablate)
 
     p = sub.add_parser("plot", help="render SVG curves from a run directory")
@@ -338,7 +329,11 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+    parser = make_parser()
+    args, rest = parser.parse_known_args(argv)
+    if rest and "config" not in args:  # synth, plot and inspect take no config keys
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
+    args.overrides = rest
     try:
         return args.fn(args)
     except ConfigError as e:

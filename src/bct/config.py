@@ -96,11 +96,8 @@ class TrainConfig:
         r = self.ratios  # the comparisons are written so that NaN fails them
         if len(r) != 3 or not all(x >= 0 for x in r) or not abs(sum(r) - 1) <= 1e-9:
             raise ConfigError(f"data.ratios must be three non-negative values summing to 1, got {self.ratios}")
-        if self.out_dir:  # the nearest existing path is where mkdir would fail, after training
-            out = Path(self.out_dir)
-            nearest = next((p for p in (out, *out.parents) if p.exists()), None)
-            if nearest is not None and not nearest.is_dir():
-                raise ConfigError(f"train.out_dir {out}: {nearest} exists and is not a directory")
+        if self.out_dir:
+            check_out_dir(self.out_dir, "train.out_dir")
 
     def split_seed(self) -> int:
         return self.seed if self.data_seed is None else self.data_seed
@@ -109,6 +106,14 @@ class TrainConfig:
         """The pinned split of root (default data.root) for this config; see ensure_manifest."""
         return ensure_manifest(root or self.data_root, self.image_size, tuple(self.ratios), self.split_seed(),
                                resplit=self.data_seed is not None)
+
+
+def check_out_dir(path, name: str) -> None:
+    """Reject a directory that mkdir would fail to create after the work: its nearest existing path is not a directory."""
+    out = Path(path)
+    nearest = next((p for p in (out, *out.parents) if p.exists()), None)
+    if nearest is not None and not nearest.is_dir():
+        raise ConfigError(f"{name} {out}: {nearest} exists and is not a directory")
 
 
 # ---------------------------------------------------------------- registry
@@ -125,10 +130,6 @@ def _parse_float(s):
         return float(s)
     except ValueError:
         raise ConfigError(f"expected a number, got {s!r}") from None
-
-
-def _parse_str(s):
-    return s
 
 
 def _parse_int_list(s):
@@ -169,7 +170,7 @@ def _fmt(value) -> str:
 
 # key -> (parser, getter path "attr" or "sub.attr", default-source)
 _REGISTRY: dict[str, tuple] = {
-    "data.root": (_parse_str, "data_root"),
+    "data.root": (str, "data_root"),
     "data.image_size": (_parse_int, "image_size"),
     "data.ratios": (_parse_ratios, "ratios"),
     "data.seed": (_parse_int, "data_seed"),
@@ -188,14 +189,14 @@ _REGISTRY: dict[str, tuple] = {
     "optim.beta2": (_parse_float, "optim.beta2"),
     "optim.epsilon": (_parse_float, "optim.epsilon"),
     "paradigm.kind": (_choice(*PARADIGMS), "paradigm"),
-    "paradigm.pretrain_checkpoint": (_parse_str, "pretrain_checkpoint"),
-    "paradigm.source_root": (_parse_str, "source_root"),
+    "paradigm.pretrain_checkpoint": (str, "pretrain_checkpoint"),
+    "paradigm.source_root": (str, "source_root"),
     "train.batch_size": (_parse_int, "batch_size"),
     "train.max_epochs": (_parse_int, "max_epochs"),
     "train.acc_threshold": (_parse_float, "acc_threshold"),
     "train.loss_threshold": (_parse_float, "loss_threshold"),
     "train.seed": (_parse_int, "seed"),
-    "train.out_dir": (_parse_str, "out_dir"),
+    "train.out_dir": (str, "out_dir"),
 }
 
 KEYS = tuple(_REGISTRY)

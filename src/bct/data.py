@@ -4,7 +4,7 @@ A dataset root contains the two class directories plus a split manifest
 (written by scan_dataset) that pins every image to train/val/test. All
 randomness (split assignment, synthetic textures, per-epoch batch order)
 flows through the seeded splitmix64 streams, so identical inputs reproduce
-identical bytes everywhere.
+identical bytes everywhere. Splits stay uint8; batches are index arrays.
 """
 
 import math
@@ -365,21 +365,13 @@ def load_manifest(root) -> DatasetManifest:
 class Split:
     """Decoded images of one split, in manifest order; indexing gathers a sub-split.
 
-    The split keeps the decoded bytes. Its float32 values (byte / 255) are
-    built per batch by stack_batch, or for the whole split by `images`, so a
-    run holds no float copy of a split.
+    The split keeps the decoded bytes; stack_batch builds the float32 values
+    (byte / 255) of one batch at a time, so a run holds no float copy of a split.
     """
 
     pixels: np.ndarray  # (N, 3, H, W) uint8
     labels: np.ndarray  # (N,) int64
     ids: np.ndarray  # (N,) str
-
-    @property
-    def images(self) -> np.ndarray:
-        """(N, 3, H, W) float32 in [0, 1], a new array: each byte cast exactly, then divided by 255."""
-        images = self.pixels.astype(np.float32)
-        images /= np.float32(255.0)  # in place, as stack_batch divides
-        return images
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -420,32 +412,11 @@ def stack_batch(split: Split) -> Batch:
     return Batch(images, Tensor(np.eye(2, dtype=np.float32)[split.labels]), split.labels, split.ids)
 
 
-@dataclass(frozen=True)
-class Batches:
-    """One epoch's batches in shuffled order; batch i is gathered and stacked when it is read.
-
-    Iterating (the sequence protocol, through __getitem__) holds no batch
-    between reads, so a loop keeps at most one alive."""
-
-    split: Split
-    order: np.ndarray  # (N,) int64, the shuffled sample indices
-    batch_size: int
-
-    def __len__(self) -> int:
-        return -(-len(self.order) // self.batch_size)
-
-    def __getitem__(self, i: int) -> Batch:
-        n = len(self)
-        if not -n <= i < n:
-            raise IndexError(f"batch {i} out of range for {n} batches")
-        start = i % n * self.batch_size
-        return stack_batch(self.split[self.order[start : start + self.batch_size]])
-
-
-def make_batches(split: Split, batch_size: int, seed: int) -> Batches:
-    """Seeded shuffle then contiguous batches; the last one may be short."""
+def make_batches(split: Split, batch_size: int, seed: int) -> list[np.ndarray]:
+    """A seeded shuffle cut into int64 index arrays of batch_size, the last maybe short; read as stack_batch(split[idx])."""
     if not split:
         raise DataError("cannot batch an empty split")
     if batch_size < 1:
         raise ConfigError(f"batch size must be >= 1, got {batch_size}")
-    return Batches(split, Rng(seed).permutation(len(split)), batch_size)
+    order = Rng(seed).permutation(len(split))
+    return [order[start : start + batch_size] for start in range(0, len(order), batch_size)]

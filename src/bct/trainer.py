@@ -192,18 +192,18 @@ def train(config: TrainConfig, echo: dict | None = None, progress=None) -> RunLo
 
     progress, if given, is called with each EpochRecord as it lands.
 
-    Memory: the splits stay uint8, and each batch's float32 images are built
-    only when the loop reads that batch, so no float copy of a whole split
-    and at most one training batch is alive. A step's recorded convs keep
-    their im2col columns only when the batch fits one _COLS_BYTES chunk, and
-    backward rebuilds the others' just for the weight gradient. The backward
-    walk releases each node of the step's graph once its closure has run,
-    so the graph shrinks as the walk goes and is gone before the next
-    forward or the train-eval pass allocates; eval_split bounds what its
-    conv stack holds. On glibc the first call also
-    sets the process's malloc thresholds (see _keep_freed_pages) so freed
-    pages stay in the heap for the next step; the process RSS then stays at
-    its high-water mark after train() returns.
+    Memory: the splits stay uint8, make_batches returns index arrays, and the
+    loop stacks each batch's float32 images only when it reaches that batch,
+    so no float copy of a whole split and at most one training batch is alive.
+    A step's recorded convs keep their im2col columns only when the batch fits
+    one _COLS_BYTES chunk, and backward rebuilds the others' just for the
+    weight gradient. The backward walk releases each node of the step's graph
+    once its closure has run, so the graph shrinks as the walk goes and is
+    gone before the next forward or the train-eval pass allocates; eval_split
+    bounds what its conv stack holds. On glibc the first call also sets the
+    process's malloc thresholds (see _keep_freed_pages) so freed pages stay in
+    the heap for the next step; the process RSS then stays at its high-water
+    mark after train() returns.
     """
     _keep_freed_pages()
     config.validate()
@@ -232,7 +232,8 @@ def train(config: TrainConfig, echo: dict | None = None, progress=None) -> RunLo
     while not driver.done:
         epoch += 1
         started = time.perf_counter()
-        for bi, batch in enumerate(make_batches(train_samples, config.batch_size, config.seed ^ epoch)):
+        for bi, idx in enumerate(make_batches(train_samples, config.batch_size, config.seed ^ epoch)):
+            batch = stack_batch(train_samples[idx])
             scores = _checked_forward(model, batch.images, f"at epoch {epoch}, batch {bi}")
             loss = loss_fn(scores, batch.targets)
             value = loss.item()

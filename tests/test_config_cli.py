@@ -3,6 +3,7 @@
 import json
 import re
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -354,3 +355,104 @@ def test_bad_counts_flag(tmp_path, capsys, counts):
     err = capsys.readouterr().err
     assert "config error" in err and "--counts" in err and counts in err
     assert not (tmp_path / "ds").exists()
+
+
+def tiny_train(workspace, *extra):
+    return ["train", "--quiet", "--data.root", str(workspace / "ds"), "--data.image_size", "16",
+            "--model.channels", "4,8,8", "--model.dense_width", "16",
+            "--train.batch_size", "8", "--train.max_epochs", "1", *extra]
+
+
+class TestOverrideTokens:
+    """Config keys reach build_config as the tokens argparse leaves, paired in command-line order."""
+
+    def test_value_that_begins_with_a_dash_reaches_the_config_parser(self, capsys):
+        assert main(["train", "--optim.momentum", "-inf"]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "momentum" in err
+
+    def test_negative_gamma_trains_under_cross_entropy(self, workspace, capsys):
+        assert main(tiny_train(workspace, "--loss.kind", "cross_entropy", "--loss.gamma", "-1e-3")) == 0
+
+    def test_relative_out_dir_that_begins_with_a_dash(self, workspace, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(tiny_train(workspace, "--train.out_dir", "-run")) == 0
+        assert (tmp_path / "-run" / "result.json").is_file()
+
+    def test_both_forms_apply_in_command_line_order(self, workspace, tmp_path):
+        argv = tiny_train(workspace, "--train.seed=5", "--train.seed", "6", "--train.out_dir", str(tmp_path / "run"))
+        assert main(argv) == 0
+        assert "train.seed = 6" in (tmp_path / "run" / "manifest.txt").read_text(encoding="utf-8").splitlines()
+
+    @pytest.mark.parametrize("argv, match", [
+        (["train", "--train.sede", "1"], "unknown config key 'train.sede'; did you mean 'train.seed'"),
+        (["train", "--train.seed"], "--train.seed: expected a value"),
+        (["train", "stray"], "unexpected argument 'stray'"),
+        (["evaluate", "--checkpoint", "x", "--optim.kind=turbo"], "--optim.kind: expected one of"),
+    ])
+    def test_bad_override_tokens_are_config_errors(self, capsys, argv, match):
+        assert main(argv) == 2
+        assert match in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "evaluate", "ablate"])
+    def test_help_lists_every_key(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--help"])
+        assert exit_.value.code == 0
+        listed = capsys.readouterr().out.split("Keys:")[1]
+        assert re.findall(r"[a-z_]+\.[a-z_0-9]+", listed) == list(KEYS)
+
+    @pytest.mark.parametrize("argv", [["synth", "--out", "ds", "--train.seed", "1"],
+                                      ["plot", "--run", "run", "--train.seed=1"],
+                                      ["inspect", "x.bct1", "--bogus"]])
+    def test_commands_without_config_keys_reject_stray_flags(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestOutputPaths:
+    """A bad output path exits 2 before any work starts, never with a traceback after it."""
+
+    @pytest.fixture
+    def blocker(self, tmp_path):
+        path = tmp_path / "taken"
+        path.write_text("", encoding="utf-8")
+        return path
+
+    def evaluate(self, workspace, out):
+        return ["evaluate", "--data.root", str(workspace / "ds"), "--data.image_size", "16",
+                "--model.channels", "4,8,8", "--model.dense_width", "16",
+                "--checkpoint", str(workspace / "run" / "best.bct1"), "--out", str(out)]
+
+    @pytest.mark.parametrize("out", ["", "missing/x.jsonl", "taken/x.jsonl", "taken/sub/x.jsonl"],
+                             ids=["directory", "missing_dir", "under_file", "under_file_deep"])
+    def test_evaluate_out_must_be_a_file_in_an_existing_directory(self, workspace, tmp_path, blocker, capsys, out):
+        assert main(self.evaluate(workspace, tmp_path / out)) == 2
+        captured = capsys.readouterr()
+        assert "expected a file in an existing directory" in captured.err and "acc" not in captured.out
+        assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize("sub", ["", "sub"])
+    def test_plot_out_at_or_under_a_file(self, workspace, blocker, capsys, sub):
+        assert main(["plot", "--run", str(workspace / "run"), "--out", str(blocker / sub)]) == 2
+        assert "is not a directory" in capsys.readouterr().err
+        assert blocker.read_text(encoding="utf-8") == ""
+
+    @pytest.mark.parametrize("sub", ["", "sub"])
+    def test_synth_out_at_or_under_a_file(self, blocker, capsys, sub):
+        assert main(["synth", "--out", str(blocker / sub), "--per-class", "2", "--size", "4", "--cell", "2"]) == 2
+        assert "is not a directory" in capsys.readouterr().err
+        assert blocker.read_text(encoding="utf-8") == ""
+
+    def test_inspect_directory_is_not_a_file(self, tmp_path, capsys):
+        assert main(["inspect", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert f"{tmp_path} is not a file" in err and "does not exist" not in err
+
+
+def test_readme_key_table_lists_exactly_the_config_keys():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    table = readme.split("## Configuration keys")[1].split("\n## ")[0]
+    assert re.findall(r"^\| ([a-z_]+\.[a-z_0-9]+) \|", table, flags=re.M) == list(KEYS)

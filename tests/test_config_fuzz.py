@@ -71,3 +71,30 @@ def test_numeric_key_exits_cleanly(dataset, key):
     for i, value in enumerate(explicit):
         run(value, CONTEXTS[i % len(CONTEXTS)])
     settings(max_examples=4, deadline=None, database=None)(given(value=strategy, context=st.sampled_from(CONTEXTS))(run))()
+
+
+@pytest.mark.parametrize("key", NUMERIC_KEYS)
+def test_dash_value_as_its_own_token_exits_as_the_equals_form(dataset, key):
+    """`--key -v` as two argv items gives the exit code of `--key=-v`: the value is never taken for a flag."""
+    root, manifest = dataset
+    strategy, explicit = values(key)
+
+    def exit_code(value_argv, context):
+        (root / MANIFEST_NAME).write_text(manifest, encoding="utf-8")  # undo a data.seed re-split
+        argv = ["train", "--quiet", f"--data.root={root}", "--data.image_size=16", "--model.channels=2,2",
+                "--model.dense_width=4", "--train.batch_size=4", "--train.max_epochs=1", *context]
+        if key == "train.max_epochs":
+            argv += CONVERGE_AT_ONCE
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return main([*argv, *value_argv])
+
+    def run(value, context):
+        assert exit_code([f"--{key}", value], context) == exit_code([f"--{key}={value}"], context)
+
+    dashed = [value for value in explicit if value.startswith("-")]
+    assert dashed
+    for i, value in enumerate(dashed):
+        run(value, CONTEXTS[i % len(CONTEXTS)])
+    dash_first = strategy.map(lambda value: value if value.startswith("-") else "-" + value)
+    settings(max_examples=4, deadline=None, database=None)(given(value=dash_first, context=st.sampled_from(CONTEXTS))(run))()

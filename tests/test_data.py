@@ -1,11 +1,13 @@
 import math
+import sys
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
-from bct import data as data_mod
+from bct import trainer
+from bct.config import ModelConfig, TrainConfig
 from bct.data import (
     MANIFEST_NAME,
     allocate_splits,
@@ -283,10 +285,11 @@ class TestSamplesAndBatches:
 
     def test_load_split_tensors(self, dataset):
         split = load_split(dataset, "train")
+        images = stack_batch(split).images.data
         assert len(split) == len(dataset.ids("train"))
-        assert split.images.shape == (len(split), 3, 8, 8)
-        assert split.images.dtype == np.float32
-        assert 0.0 <= float(split.images.min()) and float(split.images.max()) <= 1.0
+        assert images.shape == (len(split), 3, 8, 8)
+        assert images.dtype == np.float32
+        assert 0.0 <= float(images.min()) and float(images.max()) <= 1.0
         assert split.labels.dtype == np.int64
         assert set(split.labels.tolist()) <= {0, 1}
         assert list(split.ids) == dataset.ids("train")
@@ -296,18 +299,20 @@ class TestSamplesAndBatches:
         synth_generate(tmp_path, n_per_class=2, seed=0, image_size=8)
         m = scan_dataset(tmp_path, image_size=4, seed=0)
         split = load_split(m, "train")
-        assert split.images.shape[1:] == (3, 4, 4)
+        assert split.pixels.shape[1:] == (3, 4, 4)
+        assert stack_batch(split).images.shape[1:] == (3, 4, 4)
 
     def test_batches_cover_each_sample_once(self, dataset):
         split = load_split(dataset, "train")
         batches = make_batches(split, batch_size=4, seed=11)
-        seen = [i for b in batches for i in b.ids]
-        assert sorted(seen) == sorted(split.ids)
-        assert len(batches[-1].ids) == len(split) - 4 * (len(batches) - 1)
+        assert all(idx.dtype == np.int64 for idx in batches)
+        assert sorted(np.concatenate(batches).tolist()) == list(range(len(split)))
+        assert [len(idx) for idx in batches[:-1]] == [4] * (len(batches) - 1)
+        assert len(batches[-1]) == len(split) - 4 * (len(batches) - 1)
 
     def test_batch_onehot_targets(self, dataset):
         split = load_split(dataset, "train")
-        b = make_batches(split, batch_size=3, seed=0)[0]
+        b = stack_batch(split[make_batches(split, batch_size=3, seed=0)[0]])
         np.testing.assert_array_equal(b.targets.data.sum(axis=1), np.ones(3))
         for row, label in zip(b.targets.data, b.labels):
             assert row[label] == 1.0
@@ -315,9 +320,9 @@ class TestSamplesAndBatches:
     def test_epoch_seed_changes_order(self, dataset):
         split = load_split(dataset, "train")
         run_seed = 19
-        e0 = [i for b in make_batches(split, 4, run_seed ^ 0) for i in b.ids]
-        e1 = [i for b in make_batches(split, 4, run_seed ^ 1) for i in b.ids]
-        again = [i for b in make_batches(split, 4, run_seed ^ 0) for i in b.ids]
+        e0 = np.concatenate(make_batches(split, 4, run_seed ^ 0)).tolist()
+        e1 = np.concatenate(make_batches(split, 4, run_seed ^ 1)).tolist()
+        again = np.concatenate(make_batches(split, 4, run_seed ^ 0)).tolist()
         assert e0 != e1
         assert e0 == again
 
@@ -327,7 +332,7 @@ class TestSamplesAndBatches:
 
 
 class TestDecodedBytesAndLazyBatches:
-    """A split keeps its decoded bytes; each batch's floats are built only when it is read."""
+    """A split keeps its decoded bytes; each batch's floats are built only when the loop reaches it."""
 
     @pytest.fixture
     def split(self, tmp_path):
@@ -336,7 +341,8 @@ class TestDecodedBytesAndLazyBatches:
     def test_pixels_are_the_decoded_bytes(self, split):
         assert split.pixels.dtype == np.uint8
         assert split.pixels.nbytes == len(split) * 3 * 16 * 16
-        assert split.images.tobytes() == (split.pixels.astype(np.float32) / np.float32(255.0)).tobytes()
+        images = stack_batch(split).images.data
+        assert images.tobytes() == (split.pixels.astype(np.float32) / np.float32(255.0)).tobytes()
         assert split[2:5].pixels.base is split.pixels  # a slice gathers no bytes
 
     def test_make_batches_allocates_under_one_batch(self, split):
@@ -350,31 +356,30 @@ class TestDecodedBytesAndLazyBatches:
         assert len(batches) == math.ceil(len(split) / 4) > 1
         assert peak < one_batch
 
-    def test_reading_batches_keeps_one_batch_alive(self, split, monkeypatch):
-        real, refs = data_mod.stack_batch, []
+    def test_reading_batches_keeps_one_batch_alive(self, split, tmp_path, monkeypatch):
+        real, refs = trainer.stack_batch, []
 
         def stack(sub):
             batch = real(sub)
-            refs.append(weakref.ref(batch.images.data))
+            if sys._getframe(1).f_code.co_name == "train":  # eval_split's batches are not counted
+                # the loop still holds the previous batch until it rebinds the name
+                assert sum(r() is not None for r in refs) <= 1
+                refs.append(weakref.ref(batch.images.data))
             return batch
 
-        monkeypatch.setattr(data_mod, "stack_batch", stack)
-        batches = make_batches(split, 3, seed=1)
-        assert refs == []  # nothing is gathered before it is read
-        for i, _ in enumerate(batches):
-            assert len(refs) == i + 1
-            assert sum(r() is not None for r in refs) == 1
-        assert len(refs) == len(batches)
+        monkeypatch.setattr(trainer, "stack_batch", stack)
+        trainer.train(TrainConfig(data_root=str(tmp_path), image_size=16, batch_size=3, max_epochs=2,
+                                  model=ModelConfig(channels=(2, 2), dense_width=4)))
+        assert len(refs) == 2 * math.ceil(len(split) / 3)
 
     def test_indexing_reads_the_same_batches(self, split):
         batches = make_batches(split, 5, seed=2)
-        n = len(batches)
-        walked = [b.ids.tolist() for b in batches]
-        assert [batches[i].ids.tolist() for i in range(n)] == walked
-        assert [batches[i - n].ids.tolist() for i in range(n)] == walked
-        for i in (n, -n - 1):
-            with pytest.raises(IndexError):
-                batches[i]
+        order = Rng(2).permutation(len(split))
+        assert np.concatenate(batches).tobytes() == order.tobytes()
+        assert [split[idx].ids.tolist() for idx in batches] == [
+            split.ids[order[start : start + 5]].tolist() for start in range(0, len(split), 5)
+        ]
+        assert [idx.tolist() for idx in make_batches(split, 5, seed=2)] == [idx.tolist() for idx in batches]
 
 
 # ---- the array-backed split against the per-sample decode it replaced
@@ -428,8 +433,9 @@ class TestSplitByteOracle:
         images, labels, ids = decode_per_sample(m, split)
         got = load_split(m, split)
         assert len(got) == len(images) > 0
-        assert got.images.dtype == np.float32 and got.images.shape == (len(images), 3, image_size, image_size)
-        assert got.images.tobytes() == np.stack(images).tobytes()
+        got_images = stack_batch(got).images.data
+        assert got_images.dtype == np.float32 and got_images.shape == (len(images), 3, image_size, image_size)
+        assert got_images.tobytes() == np.stack(images).tobytes()
         assert got.labels.tobytes() == np.array(labels, dtype=np.int64).tobytes()
         assert list(got.ids) == ids
 
@@ -437,7 +443,7 @@ class TestSplitByteOracle:
         m = synth_generate(tmp_path, n_per_class=5, seed=8, noise_level=0.5, image_size=8)
         for split in ("train", "val", "test"):
             images, _, _ = decode_per_sample(m, split)
-            assert load_split(m, split).images.tobytes() == np.stack(images).tobytes()
+            assert stack_batch(load_split(m, split)).images.data.tobytes() == np.stack(images).tobytes()
 
     def test_empty_split(self, random_bytes_dataset):
         m = scan_dataset(random_bytes_dataset, image_size=8, ratios=(1.0, 0.0, 0.0), seed=3)
@@ -445,7 +451,8 @@ class TestSplitByteOracle:
             assert decode_per_sample(m, split) == ([], [], [])
             got = load_split(m, split)
             assert len(got) == 0 and not got
-            assert got.images.shape == (0, 3, 8, 8) and got.images.dtype == np.float32
+            got_images = stack_batch(got).images.data
+            assert got_images.shape == (0, 3, 8, 8) and got_images.dtype == np.float32
             assert got.labels.shape == (0,) and got.labels.dtype == np.int64
             assert list(got.ids) == []
 
@@ -458,7 +465,8 @@ class TestSplitByteOracle:
             got = make_batches(split, batch_size, seed)
             want = batches_per_sample(images, labels, ids, batch_size, seed)
             assert len(got) == len(want)
-            for b, (w_images, w_labels, w_ids) in zip(got, want):
+            for idx, (w_images, w_labels, w_ids) in zip(got, want):
+                b = stack_batch(split[idx])
                 assert b.images.data.tobytes() == w_images.tobytes()
                 assert b.labels.tobytes() == w_labels.tobytes()
                 assert b.targets.data.tobytes() == np.eye(2, dtype=np.float32)[w_labels].tobytes()
