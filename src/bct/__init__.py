@@ -23,6 +23,6 @@ from .layers import (
 from .losses import LossSpec, cross_entropy, binary_cross_entropy, focal_loss, make_loss
 from .optim import OptimizerConfig, Optimizer
 from .metrics import ConfusionCounts, MetricReport, accumulate, compute_metrics
-from .checkpoint import save_checkpoint, read_checkpoint, load_checkpoint, CheckpointError
+from .checkpoint import save_checkpoint, read_checkpoint, load_subset, CheckpointError
 
 __version__ = "0.1.0"

@@ -26,13 +26,8 @@ class CheckpointError(ValueError):
     """Checkpoint file malformed or inconsistent with the target model."""
 
 
-def save_checkpoint(params, path) -> None:
-    """Write a name->array mapping (or a Model) to path.
-
-    Order is preserved as given; Model registries therefore serialize in
-    definition order, which keeps files byte-reproducible.
-    """
-    state = params.state() if hasattr(params, "state") else params
+def save_checkpoint(state, path) -> None:
+    """Write a name->array mapping to path in its order; a Model's state() keeps registry order."""
     chunks = [MAGIC, struct.pack("<I", len(state))]
     for name, value in state.items():
         arr = np.ascontiguousarray(np.asarray(value), dtype="<f4")
@@ -84,37 +79,10 @@ def read_checkpoint(path) -> dict[str, np.ndarray]:
     return state
 
 
-def load_checkpoint(model, path) -> None:
-    """Strictly load a checkpoint into a Model (names and shapes must match)."""
-    try:
-        model.load_state(read_checkpoint(path))
-    except (KeyError, ValueError) as e:
-        if isinstance(e, CheckpointError):
-            raise
-        raise CheckpointError(f"{path}: {e}") from e
-
-
-def load_subset(model, path, prefix: str) -> list[str]:
-    """Load only parameters under prefix (e.g. "backbone.").
-
-    The file must contain exactly the model's parameters with that prefix,
-    no more and no fewer. Returns the loaded names in registry order.
-    """
+def load_subset(model, path, prefix: str = "") -> list[str]:
+    """Model.load_state(state at path, prefix), whose mismatch raises CheckpointError naming the path."""
     state = read_checkpoint(path)
-    want = [n for n in model.params if n.startswith(prefix)]
-    missing = sorted(set(want) - set(state))
-    extra = sorted(n for n in state if n.startswith(prefix) and n not in want) + sorted(
-        n for n in state if not n.startswith(prefix)
-    )
-    if missing or extra:
-        raise CheckpointError(
-            f"{path}: parameter set under {prefix!r} does not match model: "
-            f"missing {missing}, unexpected {extra}"
-        )
-    for name in want:
-        arr = state[name]
-        t = model.params[name]
-        if arr.shape != t.shape:
-            raise CheckpointError(f"{path}: param {name!r} shape {arr.shape} != model {t.shape}")
-        t.data[...] = arr.astype(t.dtype)
-    return want
+    try:
+        return model.load_state(state, prefix)
+    except (KeyError, ValueError) as e:
+        raise CheckpointError(f"{path}: {e.args[0]}") from e

@@ -14,7 +14,7 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .checkpoint import CheckpointError, load_checkpoint, read_checkpoint
+from .checkpoint import CheckpointError, load_subset, read_checkpoint
 from .config import KEYS, _parse_int_list, _reject_unknown, build_config, check_out_dir
 from .data import load_manifest, load_split, read_ppm, synth_generate
 from .errors import ConfigError, DataError, NumericError
@@ -39,15 +39,25 @@ def _bold(text: str) -> str:
     return _style(text, "1")
 
 
-def _config_from_args(args):
-    """build_config over the tokens argparse left, --key value (even a value that begins with '-') or --key=value."""
-    overrides, tokens = [], iter(args.overrides)
+def _join_key_values(argv: list) -> list:
+    """argv with each --<key> VALUE of a config key joined into --<key>=VALUE: argparse takes no value (-h) for a flag."""
+    joined, tokens = [], iter(argv)
     for token in tokens:
+        if token.startswith("--") and token[2:] in KEYS and (value := next(tokens, None)) is not None:
+            token = f"{token}={value}"
+        joined.append(token)
+    return joined
+
+
+def _config_from_args(args):
+    """build_config over the --key=value tokens argparse left (see _join_key_values)."""
+    overrides = []
+    for token in args.overrides:
         if not token.startswith("--"):
             raise ConfigError(f"unexpected argument {token!r}; give config keys as --key value")
         key, sep, value = token[2:].partition("=")
         _reject_unknown(key, "command line")
-        if not sep and (value := next(tokens, None)) is None:
+        if not sep:
             raise ConfigError(f"--{key}: expected a value")
         overrides.append((key, value))
     return build_config(args.config, overrides)
@@ -122,7 +132,7 @@ def cmd_evaluate(args) -> int:
     if not config.data_root:
         raise ConfigError("evaluate needs data.root")
     model = build_model(config)
-    load_checkpoint(model, args.checkpoint)
+    load_subset(model, args.checkpoint)
     samples = load_split(config.manifest(), args.split)
     if not samples:
         raise DataError(f"{config.data_root}: split {args.split!r} is empty")
@@ -158,7 +168,7 @@ def cmd_ablate(args) -> int:
 def _read_runlog(path: Path) -> list:
     """The rows of a runlog.csv as raw strings, once every field read from them parses."""
     if not path.is_file():
-        raise DataError(f"{path} does not exist")
+        raise DataError(f"{path} is not a file" if path.exists() else f"{path} does not exist")
     rows = []
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -330,7 +340,7 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = make_parser()
-    args, rest = parser.parse_known_args(argv)
+    args, rest = parser.parse_known_args(_join_key_values(sys.argv[1:] if argv is None else argv))
     if rest and "config" not in args:  # synth, plot and inspect take no config keys
         parser.error(f"unrecognized arguments: {' '.join(rest)}")
     args.overrides = rest

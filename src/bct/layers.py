@@ -5,7 +5,8 @@ composing primitives. Both work on the k*k strided window views of their
 input (one view per kernel offset, always in (ky, kx) order). Conv2d copies
 the views into channel-major im2col columns and contracts them with one
 BLAS GEMM per sample, so an output's bytes do not depend on its batch and
-every forward streams the columns in bounded chunks (see Conv2d). MaxPool2d
+every forward streams the columns in bounded chunks (see Conv2d); a no-grad
+Model forward runs its conv stack on bounded slices (see Model). MaxPool2d
 reduces the views pairwise with np.maximum and finds the gradient routing
 only when its backward runs. Every scatter-add walks the offsets in the
 same order, so gradients are bit-reproducible.
@@ -24,7 +25,7 @@ import math
 import numpy as np
 
 from .rng import Rng, derive
-from .tensor import ShapeError, Tensor
+from .tensor import ShapeError, Tensor, recording
 
 _COLS_BYTES = 1 << 22  # the im2col columns a conv forward fills at a time
 
@@ -355,6 +356,10 @@ class Model:
 
     Registry keys are "<layer name>.<param name>" in layer order; iteration
     order is definition order everywhere (init, updates, checkpoints).
+
+    A forward that records nothing runs the layers through the first Flatten on
+    slices of at most _COLS_BYTES // 4 input bytes: their output bytes do not depend
+    on the slicing, but a dense layer's do, so the layers after Flatten see the whole batch.
     """
 
     def __init__(self, layers: list):
@@ -370,9 +375,20 @@ class Model:
                 if full in self.params:
                     raise ValueError(f"duplicate parameter name {full!r}")
                 self.params[full] = tensor
+        self._cut = next((i + 1 for i, (_, layer) in enumerate(self.layers) if isinstance(layer, Flatten)), 0)
 
     def forward(self, x: Tensor) -> Tensor:
-        for _, layer in self.layers:
+        layers, cut = self.layers, self._cut
+        rows = max(1, _COLS_BYTES // 4 // max(1, x.data.itemsize * math.prod(x.shape[1:])))
+        if cut and x.ndim and x.shape[0] > rows and not recording((x, *self.params.values())):
+            images, parts = x.data, []
+            for j in range(0, len(images), rows):
+                x = Tensor.from_op(images[j : j + rows], (), None)  # x is rebound below, freeing the last slice
+                for _, layer in layers[:cut]:
+                    x = layer(x)
+                parts.append(x.data)
+            x, layers = Tensor.from_op(np.concatenate(parts), (), None), layers[cut:]
+        for _, layer in layers:
             x = layer(x)
         return x
 
@@ -385,17 +401,19 @@ class Model:
         """Copies of all parameter arrays, registry order."""
         return {name: t.data.copy() for name, t in self.params.items()}
 
-    def load_state(self, state: dict[str, np.ndarray]) -> None:
-        """Strict in-place load: names and shapes must match the registry exactly."""
-        missing = sorted(set(self.params) - set(state))
-        extra = sorted(set(state) - set(self.params))
+    def load_state(self, state: dict[str, np.ndarray], prefix: str = "") -> list[str]:
+        """Strict in-place load of the parameters named prefix*, which state must hold exactly, shapes
+        included; returns their names, registry order. A failed load leaves the model as it was."""
+        names = [n for n in self.params if n.startswith(prefix)]
+        missing, extra = sorted(set(names) - set(state)), sorted(set(state) - set(names))
         if missing or extra:
-            raise KeyError(f"state mismatch: missing {missing}, unexpected {extra}")
-        for name, t in self.params.items():
-            arr = np.asarray(state[name])
-            if arr.shape != t.shape:
-                raise ShapeError(f"param {name!r}: shape {arr.shape} != {t.shape}")
-            t.data[...] = arr.astype(t.dtype)
+            raise KeyError(f"state under {prefix!r} does not match the model: missing {missing}, unexpected {extra}")
+        for name in names:  # all checked before any is written
+            if np.shape(state[name]) != self.params[name].shape:
+                raise ShapeError(f"param {name!r}: shape {np.shape(state[name])} != {self.params[name].shape}")
+        for name in names:
+            self.params[name].data[...] = np.asarray(state[name]).astype(self.params[name].dtype)
+        return names
 
 
 _INIT_STREAM = 0x1A7E57  # model-init stream tag, keeps init draws apart from other uses

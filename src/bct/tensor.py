@@ -51,6 +51,11 @@ def no_grad():
         _grad_enabled = prev
 
 
+def recording(parents) -> bool:
+    """Whether an op on these parents is recorded for backward."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
+
+
 def _as_float_dtype(dtype):
     dt = np.dtype(dtype)
     if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
@@ -75,7 +80,7 @@ class Tensor:
         out = cls.__new__(cls)
         out.data = data
         out.grad = out.grad_view = None
-        out.requires_grad = rec = _grad_enabled and any(p.requires_grad for p in parents)
+        out.requires_grad = rec = recording(parents)
         out._parents, out._backward = (tuple(parents), backward) if rec else ((), None)
         return out
 

@@ -22,17 +22,17 @@ from pathlib import Path
 
 import numpy as np
 
-from . import config as config_mod, layers
+from . import config as config_mod
 from .checkpoint import load_subset, save_checkpoint
 from .config import TrainConfig
 from .data import load_split, make_batches, stack_batch
 from .errors import ConfigError, DataError, NumericError
-from .layers import Flatten, Model, build_backbone, build_cnn
+from .layers import Model, build_backbone, build_cnn
 from .losses import make_loss
 from .metrics import ConfusionCounts, MetricReport, compute_metrics, count_batch
 from .optim import OPTIMIZER_KINDS, Optimizer
 from .staging import PARADIGMS, StagedDriver, pretrain_source
-from .tensor import Tensor, no_grad
+from .tensor import no_grad
 
 # glibc mallopt parameters and the values train() sets: arrays up to 32 MiB come
 # from the heap, and free() trims no heap top until 1 GiB of it is unused
@@ -98,15 +98,14 @@ def build_model(config: TrainConfig) -> Model:
         raise ConfigError(f"model is too large to allocate: {e}") from e
 
 
-def _checked_forward(model: Model, images, where: str, rows: int | None = None):
-    """model(images), through _bounded_forward when rows is given; non-finite scores raise NumericError
-    naming the first layer whose output is not finite.
+def _checked_forward(model: Model, images, where: str):
+    """model(images); non-finite scores raise NumericError naming the first layer whose output is not finite.
 
     numpy's overflow and invalid-value warnings are silenced inside, as that error names the layer. Only
     on that failure path is the batch run again, whole and one layer at a time.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        scores = model(images) if rows is None else _bounded_forward(model, images, rows)
+        scores = model(images)
         if np.isfinite(scores.data).all():
             return scores
         x = images
@@ -118,36 +117,13 @@ def _checked_forward(model: Model, images, where: str, rows: int | None = None):
     raise NumericError(f"non-finite scores {where}; first non-finite output from layer {i} ({name or type(layer).__name__})")
 
 
-def _bounded_forward(model: Model, images, rows: int) -> Tensor:
-    """model(images) with the layers up to and including Flatten run on slices of at most `rows` samples.
-
-    Those layers act on each sample alone, so the bytes of their outputs do not depend on the slicing.
-    The layers after Flatten, whose rows do, see the whole batch at once.
-    """
-    cut = next((i + 1 for i, (_, layer) in enumerate(model.layers) if isinstance(layer, Flatten)), 0)
-    if images.shape[0] <= rows or cut == 0:
-        return model(images)
-    parts = []
-    for j in range(0, images.shape[0], rows):
-        x = Tensor.from_op(images.data[j : j + rows], (), None)
-        for _, layer in model.layers[:cut]:
-            x = layer(x)
-        parts.append(x.data)
-    x = Tensor.from_op(np.concatenate(parts), (), None)
-    for _, layer in model.layers[cut:]:
-        x = layer(x)
-    return x
-
-
 def eval_split(model: Model, samples, loss_fn=None, batch_size: int = 64):
     """(mean loss or None, ConfusionCounts) over a fixed-order pass.
 
     loss_fn must use sum reduction; the result is divided by the sample
     count, giving a per-sample mean that doesn't move with batch size.
 
-    Memory: the layers up to Flatten see at most a quarter of conv's
-    column buffer (_COLS_BYTES) of input images at a time, so a batch's
-    first conv output is never alive whole; see _bounded_forward.
+    Memory: under no_grad, Model.forward runs the conv stack on bounded slices of each batch.
     """
     if not samples:
         raise DataError("cannot evaluate an empty split")
@@ -156,8 +132,7 @@ def eval_split(model: Model, samples, loss_fn=None, batch_size: int = 64):
     with no_grad():
         for start in range(0, len(samples), batch_size):
             batch = stack_batch(samples[start : start + batch_size])
-            rows = max(1, layers._COLS_BYTES // 4 // batch.images.data[0].nbytes)
-            scores = _checked_forward(model, batch.images, f"in evaluation batch {start // batch_size}", rows)
+            scores = _checked_forward(model, batch.images, f"in evaluation batch {start // batch_size}")
             preds = scores.argmax(axis=1)
             counts = count_batch(counts, preds, batch.labels)
             if loss_fn is not None:
@@ -196,14 +171,14 @@ def train(config: TrainConfig, echo: dict | None = None, progress=None) -> RunLo
     loop stacks each batch's float32 images only when it reaches that batch,
     so no float copy of a whole split and at most one training batch is alive.
     A step's recorded convs keep their im2col columns only when the batch fits
-    one _COLS_BYTES chunk, and backward rebuilds the others' just for the
-    weight gradient. The backward walk releases each node of the step's graph
-    once its closure has run, so the graph shrinks as the walk goes and is
-    gone before the next forward or the train-eval pass allocates; eval_split
-    bounds what its conv stack holds. On glibc the first call also sets the
-    process's malloc thresholds (see _keep_freed_pages) so freed pages stay in
-    the heap for the next step; the process RSS then stays at its high-water
-    mark after train() returns.
+    one column chunk (see Conv2d), and backward rebuilds the others' just for
+    the weight gradient. The backward walk releases each node of the step's
+    graph once its closure has run, so the graph shrinks as the walk goes and
+    is gone before the next forward or the train-eval pass allocates; the
+    eval passes' no-grad Model.forward bounds what its conv stack holds. On
+    glibc the first call also sets the process's malloc thresholds (see
+    _keep_freed_pages) so freed pages stay in the heap for the next step; the
+    process RSS then stays at its high-water mark after train() returns.
     """
     _keep_freed_pages()
     config.validate()

@@ -6,7 +6,6 @@ import pytest
 from bct.checkpoint import (
     MAGIC,
     CheckpointError,
-    load_checkpoint,
     load_subset,
     read_checkpoint,
     save_checkpoint,
@@ -50,17 +49,17 @@ def test_file_layout_is_exactly_as_documented(tmp_path):
 def test_save_is_byte_deterministic(tmp_path):
     m = build_cnn(seed=5)
     p1, p2 = tmp_path / "a.bct1", tmp_path / "b.bct1"
-    save_checkpoint(m, p1)
-    save_checkpoint(m, p2)
+    save_checkpoint(m.state(), p1)
+    save_checkpoint(m.state(), p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_model_roundtrip_bitwise(tmp_path):
     m = build_cnn(seed=9)
     path = tmp_path / "m.bct1"
-    save_checkpoint(m, path)
+    save_checkpoint(m.state(), path)
     m2 = build_cnn(seed=10)
-    load_checkpoint(m2, path)
+    assert load_subset(m2, path) == list(m2.params)
     for name in m.params:
         np.testing.assert_array_equal(m.params[name].data, m2.params[name].data)
 
@@ -107,14 +106,14 @@ def test_trailing_bytes_rejected(tmp_path):
 def test_strict_load_mismatch(tmp_path):
     m = build_cnn(seed=0)
     path = tmp_path / "m.bct1"
-    save_checkpoint(m, path)
+    save_checkpoint(m.state(), path)
     other = build_cnn(channels=(4, 8, 16), seed=0)
     with pytest.raises(CheckpointError):
-        load_checkpoint(other, path)
+        load_subset(other, path)
     small = tmp_path / "small.bct1"
     save_checkpoint({"conv1.weight": m.params["conv1.weight"].data}, small)
     with pytest.raises(CheckpointError):
-        load_checkpoint(m, small)
+        load_subset(m, small)
 
 
 def test_float64_values_stored_as_float32(tmp_path):
@@ -142,6 +141,20 @@ def test_load_subset_backbone_only(tmp_path):
 
     # a full-model file must be rejected for a backbone-only load
     full = tmp_path / "full.bct1"
-    save_checkpoint(src, full)
+    save_checkpoint(src.state(), full)
     with pytest.raises(CheckpointError):
         load_subset(build_backbone(seed=5), full, "backbone.")
+
+
+def test_failed_load_leaves_the_model_untouched(tmp_path):
+    # conv1.* and conv2.* match, conv3.weight does not: nothing may be written
+    m = build_cnn(seed=1)
+    state = build_cnn(seed=2).state()
+    state["conv3.weight"] = np.zeros((32, 16, 1, 1), np.float32)
+    path = tmp_path / "bad_shape.bct1"
+    save_checkpoint(state, path)
+    before = m.state()
+    with pytest.raises(CheckpointError, match=r"bad_shape\.bct1: param 'conv3\.weight'"):
+        load_subset(m, path, "")
+    for name, arr in before.items():
+        assert m.params[name].data.tobytes() == arr.tobytes()

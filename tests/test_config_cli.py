@@ -379,6 +379,12 @@ class TestOverrideTokens:
         assert main(tiny_train(workspace, "--train.out_dir", "-run")) == 0
         assert (tmp_path / "-run" / "result.json").is_file()
 
+    @pytest.mark.parametrize("out_dir", ["-h", "-hx"])
+    def test_relative_out_dir_that_argparse_would_take_for_help(self, workspace, tmp_path, monkeypatch, out_dir):
+        monkeypatch.chdir(tmp_path)
+        assert main(tiny_train(workspace, "--train.out_dir", out_dir)) == 0
+        assert (tmp_path / out_dir / "result.json").is_file()
+
     def test_both_forms_apply_in_command_line_order(self, workspace, tmp_path):
         argv = tiny_train(workspace, "--train.seed=5", "--train.seed", "6", "--train.out_dir", str(tmp_path / "run"))
         assert main(argv) == 0
@@ -450,6 +456,12 @@ class TestOutputPaths:
         assert main(["inspect", str(tmp_path)]) == 3
         err = capsys.readouterr().err
         assert f"{tmp_path} is not a file" in err and "does not exist" not in err
+
+    def test_plot_of_a_runlog_that_is_a_directory(self, tmp_path, capsys):
+        (tmp_path / "runlog.csv").mkdir()
+        assert main(["plot", "--run", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'runlog.csv'} is not a file" in err and "does not exist" not in err
 
 
 def test_readme_key_table_lists_exactly_the_config_keys():

@@ -325,6 +325,17 @@ class TestModelBuilders:
         with pytest.raises(KeyError):
             m2.load_state({k: v for k, v in list(state.items())[:-1]})
 
+    def test_failed_load_state_leaves_the_model_untouched(self):
+        # conv1.* and conv2.* match, conv3.weight does not: nothing may be written
+        m = build_cnn(seed=1)
+        state = build_cnn(seed=2).state()
+        state["conv3.weight"] = np.zeros((32, 16, 1, 1), np.float32)
+        before = m.state()
+        with pytest.raises(ShapeError, match=r"conv3\.weight"):
+            m.load_state(state)
+        for name, arr in before.items():
+            assert m.params[name].data.tobytes() == arr.tobytes()
+
 
 def test_model_duplicate_names_rejected():
     with pytest.raises(ValueError):
@@ -747,6 +758,44 @@ def forward_and_grads(model, x, w):
 
 def layer_kinds(model):
     return [type(layer).__name__ for _, layer in model.layers]
+
+
+def _first_conv_batches(monkeypatch, model) -> list:
+    """The batch size of each call that the model's first conv gets from now on."""
+    first, sizes, forward = model.layers[0][1], [], Conv2d.forward
+
+    def spy(layer, x):
+        if layer is first:
+            sizes.append(x.shape[0])
+        return forward(layer, x)
+
+    monkeypatch.setattr(Conv2d, "__call__", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("rows", [21, 5, 1, 64])
+def test_bounded_forward_gives_the_whole_batch_score_bytes(monkeypatch, rows):
+    # desk's network and eval batch; the dense head sees all 64 rows either way
+    model = build_cnn(seed=1)
+    images = Tensor(np.random.default_rng(rows).random((64, 3, 64, 64), dtype=np.float32))
+    with no_grad():
+        whole = images
+        for _, layer in model.layers:
+            whole = layer(whole)
+        monkeypatch.setattr(bct.layers, "_COLS_BYTES", 4 * rows * images.data[0].nbytes)
+        sizes = _first_conv_batches(monkeypatch, model)
+        bounded = model(images)
+    assert sizes == [min(rows, 64 - j) for j in range(0, 64, rows)]
+    assert bounded.data.tobytes() == whole.data.tobytes()
+
+
+def test_recording_forward_is_never_sliced(monkeypatch):
+    model = build_cnn(input_shape=(3, 16, 16), channels=(2, 4, 4), dense_width=8, seed=0)
+    images = Tensor(np.random.default_rng(0).random((8, 3, 16, 16), dtype=np.float32))
+    monkeypatch.setattr(bct.layers, "_COLS_BYTES", 4 * 3 * images.data[0].nbytes)  # 3-row slices
+    sizes = _first_conv_batches(monkeypatch, model)
+    scores = model(images)
+    assert sizes == [8] and scores.requires_grad
 
 
 def test_builders_pool_before_activating():

@@ -1,9 +1,9 @@
 """The benchmark's tracer still sees the program's entry points.
 
 perfbench/tracer.py wraps bct functions by name (the three loss functions,
-Optimizer.step, the load_split, make_batches and count_batch names bound in
-bct.trainer, and bct.data.stack_batch, whose Batch.ids feed the frozen-forward
-ratio). A refactor that stops calling a wrapped name, for example by
+Optimizer.step, the load_split, make_batches, count_batch and load_subset
+names bound in bct.trainer, and bct.data.stack_batch, whose Batch.ids feed the
+frozen-forward ratio). A refactor that stops calling a wrapped name, for example by
 binding a loss kernel directly, reads 0 in that metric without failing any
 other test. So this trains tiny runs under the tracer in a fresh process and
 checks the counts it summarises.
@@ -107,3 +107,8 @@ def test_tl_run_decodes_each_image_once_and_batches_by_index(summaries):
     forwards = run["epochs"] * (2 * run["train"] + run["val"]) + run["test"]
     distinct = run["train"] + run["val"] + run["test"]
     assert s["layers.frozen_fwd_useful_ratio"] == distinct / forwards
+
+
+def test_tl_run_times_its_backbone_load(summaries):
+    # train() loads the pretrained backbone through the load_subset name bound in bct.trainer
+    assert summaries["tl"]["checkpoint.load_subset_s"] > 0

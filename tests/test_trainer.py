@@ -18,10 +18,10 @@ from bct.checkpoint import read_checkpoint
 from bct.config import ModelConfig, TrainConfig
 from bct.data import synth_generate
 from bct.errors import ConfigError, DataError, NumericError
-from bct.layers import Model, build_cnn
+from bct.layers import Model
 from bct.optim import OptimizerConfig
 from bct.staging import pretrain_source
-from bct.tensor import Tensor, no_grad
+from bct.tensor import Tensor
 from bct.trainer import EpochRecord, RunLog, check_convergence, run_ablation, runlog_csv, train
 
 SMALL_MODEL = dict(kind="cnn", channels=(4, 8, 8), dense_width=16)
@@ -110,16 +110,6 @@ class TestTrainLoop:
         samples = trainer.load_split(config.manifest(), "train")
         with pytest.raises(NumericError, match=r"in evaluation batch 0; first non-finite output from layer 10 \(dense1\)"):
             trainer.eval_split(model, samples, batch_size=4)
-
-    @pytest.mark.parametrize("rows", [21, 5, 1, 64])
-    def test_bounded_eval_gives_the_whole_batch_score_bytes(self, rows):
-        # desk's network and eval batch; the dense head sees all 64 rows either way
-        model = build_cnn(seed=1)
-        images = Tensor(np.random.default_rng(rows).random((64, 3, 64, 64), dtype=np.float32))
-        with no_grad():
-            whole = model(images).data
-            bounded = trainer._bounded_forward(model, images, rows).data
-        assert bounded.tobytes() == whole.tobytes()
 
     def test_non_finite_gradient_names_parameter_epoch_and_batch(self, dataset, monkeypatch):
         # a finite loss whose gradient is NaN from the second training batch on
