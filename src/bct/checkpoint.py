@@ -19,6 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import read_input
+
 MAGIC = b"BCT1"
 
 
@@ -42,7 +44,7 @@ def save_checkpoint(state, path) -> None:
 
 def read_checkpoint(path) -> dict[str, np.ndarray]:
     """Parse a checkpoint into an ordered name->float32 array mapping."""
-    buf = Path(path).read_bytes()
+    buf = read_input(path, CheckpointError)
     pos = 0
 
     def take(n: int, what: str) -> bytes:

@@ -7,6 +7,7 @@ fixed exit codes: bad configuration 2, bad data 3, numeric failure 4.
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -17,7 +18,7 @@ from pathlib import Path
 from .checkpoint import CheckpointError, load_subset, read_checkpoint
 from .config import KEYS, _parse_int_list, _reject_unknown, build_config, check_out_dir
 from .data import load_manifest, load_split, read_ppm, synth_generate
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, read_input
 from .svgchart import line_chart
 from .trainer import SUITES, build_model, evaluate, run_ablation, train
 
@@ -167,31 +168,28 @@ def cmd_ablate(args) -> int:
 
 def _read_runlog(path: Path) -> list:
     """The rows of a runlog.csv as raw strings, once every field read from them parses."""
-    if not path.is_file():
-        raise DataError(f"{path} is not a file" if path.exists() else f"{path} does not exist")
+    reader = csv.DictReader(io.StringIO(read_input(path, DataError, text=True), newline=""))
     rows = []
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            fields = ("epoch", "stage", "train_loss", "train_acc", "val_acc")
-            missing = [f for f in fields if f not in (reader.fieldnames or ())]
-            if missing:
-                raise DataError(f"{path}:1: no column {', '.join(missing)}")
-            for row in reader:
-                try:
-                    if None in row or None in row.values():
-                        raise ValueError(f"expected {len(reader.fieldnames)} fields")
-                    int(row["epoch"]), int(row["stage"])
-                    train_acc, val_acc = float(row["train_acc"]), float(row["val_acc"])
-                    if not all(math.isfinite(float(row[f])) for f in ("train_loss", "train_acc")):
-                        raise ValueError("train_loss and train_acc must be finite")
-                    if not (0 <= train_acc <= 1 and (0 <= val_acc <= 1 or math.isnan(val_acc))):
-                        raise ValueError("train_acc must lie in [0, 1], and val_acc in [0, 1] or be nan")
-                except ValueError as e:
-                    raise DataError(f"{path}:{reader.line_num}: {e}") from e
-                rows.append(row)
-    except (UnicodeDecodeError, csv.Error) as e:
-        raise DataError(f"{path}: not a UTF-8 CSV file ({e})") from e
+        fields = ("epoch", "stage", "train_loss", "train_acc", "val_acc")
+        missing = [f for f in fields if f not in (reader.fieldnames or ())]
+        if missing:
+            raise DataError(f"{path}:1: no column {', '.join(missing)}")
+        for row in reader:
+            try:
+                if None in row or None in row.values():
+                    raise ValueError(f"expected {len(reader.fieldnames)} fields")
+                int(row["epoch"]), int(row["stage"])
+                train_acc, val_acc = float(row["train_acc"]), float(row["val_acc"])
+                if not all(math.isfinite(float(row[f])) for f in ("train_loss", "train_acc")):
+                    raise ValueError("train_loss and train_acc must be finite")
+                if not (0 <= train_acc <= 1 and (0 <= val_acc <= 1 or math.isnan(val_acc))):
+                    raise ValueError("train_acc must lie in [0, 1], and val_acc in [0, 1] or be nan")
+            except ValueError as e:
+                raise DataError(f"{path}:{reader.line_num}: {e}") from e
+            rows.append(row)
+    except csv.Error as e:
+        raise DataError(f"{path}: not a CSV file ({e})") from e
     if not rows:
         raise DataError(f"{path}: no epochs recorded")
     return rows
@@ -262,10 +260,7 @@ def _inspect_ppm(path: Path) -> None:
 
 def cmd_inspect(args) -> int:
     path = Path(args.path)
-    if not path.is_file():
-        raise DataError(f"{path} is not a file" if path.exists() else f"{path} does not exist")
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
+    magic = read_input(path, DataError)[:4]
     if magic == b"BCT1":
         _inspect_checkpoint(path)
     elif magic[:2] == b"P6":
@@ -275,10 +270,7 @@ def cmd_inspect(args) -> int:
     elif path.suffix == ".csv" and path.name.startswith("runlog"):
         _inspect_runlog(path)
     elif path.suffix in (".json", ".jsonl"):
-        try:
-            sys.stdout.write(path.read_text(encoding="utf-8"))
-        except UnicodeDecodeError as e:
-            raise DataError(f"{path}: not UTF-8 text ({e})") from e
+        sys.stdout.write(read_input(path, DataError, text=True))
     else:
         raise DataError(f"{path}: not a checkpoint, PPM, manifest, or runlog")
     return 0

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .data import DatasetManifest, ensure_manifest
-from .errors import ConfigError
+from .errors import ConfigError, read_input
 from .losses import LOSS_KINDS, REDUCTIONS, LossSpec
 from .optim import OPTIMIZER_KINDS, OptimizerConfig
 from .staging import PARADIGMS
@@ -67,11 +67,8 @@ class TrainConfig:
         check that paradigm.pretrain_checkpoint exists, for a suite arm whose
         checkpoint an earlier job of the suite writes."""
         self.model.validate()
-        try:
-            self.loss.validate()
-            self.optim.validate()
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
+        self.loss.validate()
+        self.optim.validate()
         if self.paradigm not in PARADIGMS:
             raise ConfigError(f"paradigm.kind must be one of {tuple(PARADIGMS)}, got {self.paradigm!r}")
         if self.paradigm != "baseline":
@@ -224,15 +221,8 @@ def flatten(config: TrainConfig) -> dict[str, str]:
 
 def read_config_file(path) -> list[tuple[str, str, int]]:
     """(key, raw value, line number) triples; syntax errors only, no typing."""
-    path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file {path} does not exist")
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as e:
-        raise ConfigError(f"config file {path} is not UTF-8 text ({e})") from e
     out = []
-    for ln, line in enumerate(text.splitlines(), start=1):
+    for ln, line in enumerate(read_input(path, ConfigError, text=True).splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

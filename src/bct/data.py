@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, read_input
 from .rng import Rng, derive
 from .tensor import Tensor
 
@@ -45,7 +45,7 @@ def read_ppm(path) -> np.ndarray:
     Accepts arbitrary whitespace and '#' comments between header tokens.
     Corrupt files raise DataError naming the path and byte offset.
     """
-    buf = Path(path).read_bytes()
+    buf = read_input(path, DataError)
     pos = 0
 
     def fail(msg):
@@ -111,7 +111,10 @@ def resize_nearest(pixels: np.ndarray, height: int, width: int) -> np.ndarray:
 
 def _base_pattern(family: str, label: int, size: int, cell_size: int) -> np.ndarray:
     """Grayscale pattern in [0, 1], float64 (size, size)."""
-    y, x = np.mgrid[0:size, 0:size].astype(np.float64)
+    try:
+        y, x = np.mgrid[0:size, 0:size].astype(np.float64)
+    except (ValueError, MemoryError) as e:  # more bytes than an array or this machine can hold
+        raise ConfigError(f"image size {size}: {e}") from None
     if family == "checker":
         if label == 0:
             return x / (size - 1) if size > 1 else np.zeros((size, size))
@@ -166,13 +169,14 @@ def synth_generate(
         raise ConfigError(f"cell size must be in [1, {image_size}], got {cell_size}")
     root = Path(root)
     for label in (0, 1):
-        (root / f"class{label}").mkdir(parents=True, exist_ok=True)
+        cdir = root / f"class{label}"
         for i in range(counts[label]):
             img = synth_image(
                 family, label, image_size, cell_size, noise_level,
                 seed=derive(seed, _NOISE_STREAM, label, i),
             )
-            write_ppm(root / f"class{label}" / f"img_{i:04d}.ppm", img)
+            cdir.mkdir(parents=True, exist_ok=True)  # after the first image, so a size too large writes nothing
+            write_ppm(cdir / f"img_{i:04d}.ppm", img)
     return scan_dataset(root, image_size=image_size, ratios=ratios, seed=seed)
 
 
@@ -283,7 +287,7 @@ def ensure_manifest(root, image_size: int = 64, ratios: tuple = (0.8, 0.1, 0.1),
     split, so the returned manifest always adopts the requested size.
     """
     ratios = _check_ratios(ratios)
-    if not (Path(root) / MANIFEST_NAME).is_file():
+    if not (Path(root) / MANIFEST_NAME).exists():  # anything else at the path is load_manifest's error
         return scan_dataset(root, image_size, ratios, seed)
     manifest = load_manifest(root)
     same_ratios = all(abs(a - b) <= 1e-9 for a, b in zip(manifest.ratios, ratios))
@@ -311,12 +315,9 @@ def save_manifest(manifest: DatasetManifest) -> None:
 
 def load_manifest(root) -> DatasetManifest:
     path = Path(root) / MANIFEST_NAME
-    if not path.is_file():
+    if not path.exists():
         raise DataError(f"{root}: no {MANIFEST_NAME}; run scan (or synth) first")
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as e:
-        raise DataError(f"{path}: not UTF-8 text ({e})") from e
+    text = read_input(path, DataError, text=True)
     header: dict[str, str] = {}
     key_lines: dict[str, int] = {}  # header key -> the line that set it
     id_lines: dict[str, int] = {}  # image id -> the row that lists it

@@ -57,6 +57,16 @@ def _windows(k: int, s: int, ho: int, wo: int) -> list:
     return [(..., slice(ky, ky + s * ho, s), slice(kx, kx + s * wo, s)) for ky in range(k) for kx in range(k)]
 
 
+def _out_shape(what: str, h: int, w: int, k: int, s: int, p: int) -> tuple[int, int]:
+    """Output (height, width) of k x k windows at stride s over an (h, w) map padded by p; the last window must end at the edge."""
+    for name, dim in (("height", h), ("width", w)):
+        if dim + 2 * p < k:
+            raise ShapeError(f"{what}: window {k} does not fit input {name} {dim} (padding {p})")
+        if (dim + 2 * p - k) % s != 0:
+            raise ShapeError(f"{what}: {name} {dim} with padding {p}, window {k}, stride {s} leaves a remainder")
+    return (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
+
+
 def _im2col(xp: np.ndarray, win: list, buf: np.ndarray) -> np.ndarray:
     """The im2col columns of a channel-major map xp (C, N, H, W), written into the front of buf.
 
@@ -113,16 +123,7 @@ class Conv2d:
         return {"weight": self.weight, "bias": self.bias}
 
     def out_shape(self, h: int, w: int) -> tuple[int, int]:
-        k, s, p = self.kernel_size, self.stride, self.padding
-        for name, dim in (("height", h), ("width", w)):
-            if dim + 2 * p < k:
-                raise ShapeError(f"conv: kernel {k} does not fit input {name} {dim} (padding {p})")
-            if (dim + 2 * p - k) % s != 0:
-                raise ShapeError(
-                    f"conv: {name} {dim} with padding {p}, kernel {k}, stride {s} "
-                    f"leaves a remainder; output size must be exact"
-                )
-        return (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
+        return _out_shape("conv", h, w, self.kernel_size, self.stride, self.padding)
 
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim != 4:
@@ -195,15 +196,7 @@ class MaxPool2d:
         return {}
 
     def out_shape(self, h: int, w: int) -> tuple[int, int]:
-        k, s = self.window, self.stride
-        for name, dim in (("height", h), ("width", w)):
-            if dim < k:
-                raise ShapeError(f"pool: window {k} does not fit input {name} {dim}")
-            if (dim - k) % s != 0:
-                raise ShapeError(
-                    f"pool: {name} {dim} with window {k}, stride {s} leaves a remainder"
-                )
-        return (h - k) // s + 1, (w - k) // s + 1
+        return _out_shape("pool", h, w, self.window, self.stride, 0)
 
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim != 4:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .tensor import DomainError, ShapeError, Tensor
 
 SCORE_FLOOR = 1e-12
@@ -38,13 +39,13 @@ class LossSpec:
 
     def validate(self) -> None:
         if self.kind not in LOSS_KINDS:
-            raise ValueError(f"unknown loss kind {self.kind!r}; expected one of {LOSS_KINDS}")
+            raise ConfigError(f"unknown loss kind {self.kind!r}; expected one of {LOSS_KINDS}")
         if not abs(self.gamma) <= float(np.finfo(np.float32).max):  # NaN fails too
-            raise ValueError(f"loss gamma must be finite in float32, got {self.gamma}")
+            raise ConfigError(f"loss gamma must be finite in float32, got {self.gamma}")
         if self.kind == "focal" and self.gamma < 0:
-            raise ValueError(f"focal gamma must be >= 0, got {self.gamma}")
+            raise ConfigError(f"focal gamma must be >= 0, got {self.gamma}")
         if self.reduction not in REDUCTIONS:
-            raise ValueError(f"unknown reduction {self.reduction!r}; expected one of {REDUCTIONS}")
+            raise ConfigError(f"unknown reduction {self.reduction!r}; expected one of {REDUCTIONS}")
 
 
 def _check_batch(scores: Tensor, targets: Tensor, want_binary: bool) -> None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import ConfigError, NumericError
 from .tensor import Tensor
 
 OPTIMIZER_KINDS = ("sgd", "adam", "rectadam")
@@ -37,18 +37,18 @@ class OptimizerConfig:
         """Reject values the float32 update cannot use: each factor must round to a finite float32,
         and the learning rate and epsilon to a nonzero one."""
         if self.kind not in OPTIMIZER_KINDS:
-            raise ValueError(f"unknown optimizer {self.kind!r}; expected one of {OPTIMIZER_KINDS}")
+            raise ConfigError(f"unknown optimizer {self.kind!r}; expected one of {OPTIMIZER_KINDS}")
         lr = self.resolved_lr()  # the comparisons are written so that NaN and inf fail them
         if not _F32_TINY <= lr <= _F32_MAX:
-            raise ValueError(f"learning rate must be finite in float32 and > 0, got {lr}")
+            raise ConfigError(f"learning rate must be finite in float32 and > 0, got {lr}")
         if not 0 <= self.momentum <= _F32_MAX:
-            raise ValueError(f"momentum must be finite in float32 and >= 0, got {self.momentum}")
+            raise ConfigError(f"momentum must be finite in float32 and >= 0, got {self.momentum}")
         for name in ("beta1", "beta2"):
             b = getattr(self, name)
             if not 0 <= b < 1:
-                raise ValueError(f"{name} must be in [0, 1), got {b}")
+                raise ConfigError(f"{name} must be in [0, 1), got {b}")
         if not _F32_TINY <= self.epsilon <= _F32_MAX:
-            raise ValueError(f"epsilon must be finite in float32 and > 0, got {self.epsilon}")
+            raise ConfigError(f"epsilon must be finite in float32 and > 0, got {self.epsilon}")
 
     def resolved_lr(self) -> float:
         return self._DEFAULT_LR[self.kind] if self.learning_rate is None else self.learning_rate

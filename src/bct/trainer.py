@@ -440,11 +440,8 @@ def run_ablation(suite: str, base: TrainConfig, seeds, out_dir, jobs: int = 1) -
         raise ConfigError(f"--jobs must be >= 1, got {jobs}")
     if suite not in SUITES:
         raise ConfigError(f"unknown suite {suite!r}; expected one of {SUITES}")
-    if suite == "paradigm":
-        if not base.source_root:
-            raise ConfigError("paradigm suite needs paradigm.source_root for pretraining")
-        if base.model.kind != "backbone":
-            raise ConfigError("paradigm suite needs model.kind = backbone")
+    if suite == "paradigm" and not base.source_root:
+        raise ConfigError("paradigm suite needs paradigm.source_root for pretraining")
     out_dir = Path(out_dir)
 
     # build and validate every run config up front: a bad arm aborts the suite
@@ -472,6 +469,7 @@ def run_ablation(suite: str, base: TrainConfig, seeds, out_dir, jobs: int = 1) -
     for root in roots:
         base.manifest(root)
 
+    jobs = min(jobs, len(run_jobs))  # a pool forks all its workers up front
     if jobs == 1:
         for job in pretrain_jobs:
             _pretrain_one(job)

@@ -464,6 +464,47 @@ class TestOutputPaths:
         assert f"{tmp_path / 'runlog.csv'} is not a file" in err and "does not exist" not in err
 
 
+class TestInputPaths:
+    """A missing or non-file input exits 2 or 3 with an error naming the path, never with a traceback."""
+
+    @pytest.fixture
+    def own_ds(self, tmp_path):
+        assert main(["synth", "--out", str(tmp_path / "ds"), "--per-class", "4", "--size", "16", "--cell", "4"]) == 0
+        return tmp_path / "ds"
+
+    @pytest.mark.parametrize("checkpoint, message", [("nope.bct1", "nope.bct1 does not exist"),
+                                                     ("ds", "ds is not a file")], ids=["missing", "directory"])
+    def test_evaluate_checkpoint(self, workspace, tmp_path, monkeypatch, capsys, checkpoint, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "ds").mkdir()
+        assert main(["evaluate", "--checkpoint", checkpoint, "--data.root", str(workspace / "ds"),
+                     "--data.image_size", "16", "--model.channels", "4,8,8", "--model.dense_width", "16"]) == 3
+        assert f"checkpoint error: {message}" in capsys.readouterr().err
+
+    def test_train_on_a_manifest_row_whose_image_was_deleted(self, own_ds, capsys):
+        (own_ds / "class0" / "img_0000.ppm").unlink()
+        assert main(tiny_train(own_ds.parent)) == 3
+        assert f"data error: {own_ds / 'class0' / 'img_0000.ppm'} does not exist" in capsys.readouterr().err
+
+    def test_train_on_a_manifest_that_is_a_directory(self, own_ds, capsys):
+        (own_ds / "split_manifest.tsv").unlink()
+        (own_ds / "split_manifest.tsv").mkdir()
+        assert main(tiny_train(own_ds.parent)) == 3
+        assert f"data error: {own_ds / 'split_manifest.tsv'} is not a file" in capsys.readouterr().err
+
+    def test_train_config_that_is_a_directory(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "ds").mkdir()
+        assert main(["train", "--config", "ds"]) == 2
+        assert "config error: ds is not a file" in capsys.readouterr().err
+
+    def test_synth_size_beyond_any_memory_writes_nothing(self, tmp_path, capsys):
+        # 16 TiB for the coordinate grid alone: the allocation fails before any byte is touched
+        assert main(["synth", "--out", str(tmp_path / "ds"), "--size", "1048576", "--per-class", "1"]) == 2
+        assert "config error: image size 1048576" in capsys.readouterr().err
+        assert not (tmp_path / "ds").exists()
+
+
 def test_readme_key_table_lists_exactly_the_config_keys():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     table = readme.split("## Configuration keys")[1].split("\n## ")[0]

@@ -5,17 +5,21 @@ runlog reader behind bct inspect and bct plot.
 Each valid file is cut at every offset, then put through a fixed set of
 seeded 1-3 byte overwrites. Every case must parse or raise the parser's own
 error (CheckpointError, DataError, ConfigError); any other exception is a
-parser bug.
+parser bug. A path that is missing, is a directory or cannot be read must
+raise that error too, naming the path, from those parsers and bct inspect.
 """
 
 import argparse
+import builtins
+import errno
+import io
 import random
 
 import numpy as np
 import pytest
 
 from bct.checkpoint import CheckpointError, read_checkpoint, save_checkpoint
-from bct.cli import _inspect_runlog, cmd_plot
+from bct.cli import _inspect_runlog, cmd_inspect, cmd_plot
 from bct.config import build_config
 from bct.data import MANIFEST_NAME, DatasetManifest, load_manifest, read_ppm, save_manifest, write_ppm
 from bct.errors import ConfigError, DataError
@@ -124,3 +128,51 @@ def test_malformed_files_parse_or_raise_the_parsers_error(tmp_path, name, write_
     # binary files reject every truncation; text files parse when cut at a line end,
     # but most of their flips break the UTF-8, a value or a header
     assert rejected >= len(raw)
+
+
+def inspect_in(path):
+    cmd_inspect(argparse.Namespace(path=str(path)))
+
+
+def deny_reads_of(monkeypatch, target):
+    """Make every open of target raise PermissionError (chmod does not stop root)."""
+    real_open = io.open
+
+    def guarded_open(file, *args, **kwargs):
+        if str(file) == str(target):
+            raise PermissionError(errno.EACCES, "Permission denied", str(target))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", guarded_open)
+    monkeypatch.setattr(builtins, "open", guarded_open)
+
+
+@pytest.mark.parametrize("case", ["missing", "directory", "denied"])
+@pytest.mark.parametrize(
+    "name, write_valid, parse, allowed",
+    [
+        ("valid.bct1", valid_checkpoint, read_checkpoint, CheckpointError),
+        ("valid.ppm", valid_ppm, read_ppm, DataError),
+        (MANIFEST_NAME, valid_manifest, manifest_in, DataError),
+        ("run.cfg", valid_config, build_config, ConfigError),
+        ("runlog.csv", valid_runlog, runlog_in, DataError),
+        ("eval.jsonl", valid_config, inspect_in, DataError),
+    ],
+    ids=["read_checkpoint", "read_ppm", "load_manifest", "build_config", "runlog", "inspect"],
+)
+def test_unreadable_path_raises_the_parsers_error_naming_it(tmp_path, monkeypatch, name, write_valid, parse, allowed,
+                                                           case):
+    path = tmp_path / name
+    if case == "directory":
+        path.mkdir()
+    elif case == "denied":
+        write_valid(path)
+        deny_reads_of(monkeypatch, path)
+    with pytest.raises(allowed) as raised:
+        parse(path)
+    message = str(raised.value)
+    if case == "missing" and name == MANIFEST_NAME:
+        assert f"{tmp_path}: no {MANIFEST_NAME}" in message
+    else:
+        want = {"missing": "does not exist", "directory": "is not a file", "denied": "Permission denied"}[case]
+        assert str(path) in message and want in message, message

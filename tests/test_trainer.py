@@ -369,6 +369,27 @@ class TestAblation:
         with pytest.raises(ConfigError, match="backbone"):
             run_ablation("paradigm", small_config(dataset, source_root=dataset), [1], tmp_path)
 
+    def test_pool_has_no_more_workers_than_runs(self, dataset, tmp_path, monkeypatch):
+        # a pool forks every worker up front; this stand-in records the size and runs the jobs in-process
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(trainer, "ProcessPoolExecutor", InProcessPool)
+        table = run_ablation("loss", small_config(dataset, max_epochs=1), [1], tmp_path, jobs=64)
+        assert sizes == [4] and len(table.runs) == 4
+
     def test_paradigm_suite_pretrains_per_seed_and_matches_across_jobs(self, dataset, tmp_path):
         source = tmp_path / "rings"
         synth_generate(source, n_per_class=6, seed=4, noise_level=0.05,
