@@ -15,11 +15,10 @@ files, and trailing bytes all raise CheckpointError with the byte offset.
 
 import math
 import struct
-from pathlib import Path
 
 import numpy as np
 
-from .errors import read_input
+from .errors import read_input, write_output
 
 MAGIC = b"BCT1"
 
@@ -39,7 +38,7 @@ def save_checkpoint(state, path) -> None:
         chunks.append(struct.pack("<I", arr.ndim))
         chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         chunks.append(arr.tobytes())
-    Path(path).write_bytes(b"".join(chunks))
+    write_output(path, b"".join(chunks), CheckpointError)
 
 
 def read_checkpoint(path) -> dict[str, np.ndarray]:

@@ -18,7 +18,7 @@ from pathlib import Path
 from .checkpoint import CheckpointError, load_subset, read_checkpoint
 from .config import KEYS, _parse_int_list, _reject_unknown, build_config, check_out_dir
 from .data import load_manifest, load_split, read_ppm, synth_generate
-from .errors import ConfigError, DataError, NumericError, read_input
+from .errors import ConfigError, DataError, NumericError, read_input, write_output
 from .svgchart import line_chart
 from .trainer import SUITES, build_model, evaluate, run_ablation, train
 
@@ -146,8 +146,7 @@ def cmd_evaluate(args) -> int:
         "counts": asdict(counts),
         "metrics": asdict(report),
     }
-    with open(out, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(record, sort_keys=True) + "\n")
+    write_output(out, json.dumps(record, sort_keys=True) + "\n", ConfigError, append=True)
     print(
         f"{args.split}: n {counts.total}  acc {report.accuracy:.4f}  "
         f"recall {report.recall:.4f}  precision {report.precision:.4f}  f1 {report.f1:.4f}"
@@ -216,9 +215,8 @@ def cmd_plot(args) -> int:
     except ValueError as e:
         raise DataError(f"{run / 'runlog.csv'}: {e}") from e
     out = Path(args.out) if args.out else run
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "loss.svg").write_text(loss_svg, encoding="utf-8")
-    (out / "accuracy.svg").write_text(acc_svg, encoding="utf-8")
+    write_output(out / "loss.svg", loss_svg, ConfigError)
+    write_output(out / "accuracy.svg", acc_svg, ConfigError)
     print(f"wrote {out / 'loss.svg'} and {out / 'accuracy.svg'}")
     return 0
 

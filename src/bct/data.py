@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DataError, read_input
+from .errors import ConfigError, DataError, read_input, write_output
 from .rng import Rng, derive
 from .tensor import Tensor
 
@@ -36,7 +36,7 @@ def write_ppm(path, pixels: np.ndarray) -> None:
         raise ValueError(f"write_ppm needs (H, W, 3) uint8, got {pixels.shape} {pixels.dtype}")
     h, w = pixels.shape[:2]
     header = f"P6\n{w} {h}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + pixels.tobytes())
+    write_output(path, header + pixels.tobytes(), DataError)
 
 
 def read_ppm(path) -> np.ndarray:
@@ -175,7 +175,6 @@ def synth_generate(
                 family, label, image_size, cell_size, noise_level,
                 seed=derive(seed, _NOISE_STREAM, label, i),
             )
-            cdir.mkdir(parents=True, exist_ok=True)  # after the first image, so a size too large writes nothing
             write_ppm(cdir / f"img_{i:04d}.ppm", img)
     return scan_dataset(root, image_size=image_size, ratios=ratios, seed=seed)
 
@@ -310,7 +309,7 @@ def save_manifest(manifest: DatasetManifest) -> None:
         "",
     ]
     lines += [f"{i}\t{label}\t{split}" for i, label, split in manifest.entries]
-    (Path(manifest.root) / MANIFEST_NAME).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_output(Path(manifest.root) / MANIFEST_NAME, "\n".join(lines) + "\n", DataError)
 
 
 def load_manifest(root) -> DatasetManifest:

@@ -1,4 +1,4 @@
-"""Error taxonomy surfaced through the CLI exit codes, and the one input file reader.
+"""Error taxonomy surfaced through the CLI exit codes, the one input file reader and the one output file writer.
 
 ConfigError -> exit 2, DataError and bct.checkpoint.CheckpointError -> exit 3,
 NumericError -> exit 4.
@@ -7,9 +7,12 @@ check that a forward's scores are finite before any loss reads them, and
 the optimizer checks each update. ShapeError and DomainError (``**``, the
 loss checks) live in bct.tensor; they flag programming errors, not bad user
 input, and the CLI does not catch them. Every input file is read through
-read_input, so each bad input raises its reader's error naming the path.
+read_input and every output file written through write_output, so a failed
+read or write raises its caller's error naming the path.
 """
 
+import contextlib
+import os
 from pathlib import Path
 
 
@@ -37,3 +40,22 @@ def read_input(path, error: type, text: bool = False):
         raise error(f"{path}: cannot read ({e.strerror or e})") from e
     except UnicodeDecodeError as e:
         raise error(f"{path} is not UTF-8 text ({e})") from e
+
+
+def write_output(path, data, error: type, append: bool = False) -> None:
+    """Write data, bytes or str as UTF-8, to a temp file beside path and os.replace it onto path; with append=True add it
+    to path in one write call. Makes a missing directory, then tries once more; raises error naming the path on OSError."""
+    path, data = Path(path), data.encode("utf-8") if isinstance(data, str) else data
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")  # a name no reader globs for
+    for retry in (False, True):
+        try:
+            if retry:
+                path.parent.mkdir(parents=True, exist_ok=True)
+            with open(path, "ab") if append else open(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "wb") as fh:
+                fh.write(data)
+            return None if append else os.replace(tmp, path)
+        except OSError as e:
+            with contextlib.suppress(OSError):
+                tmp.unlink()
+            if retry or not isinstance(e, FileNotFoundError):
+                raise error(f"{path}: cannot write ({e.strerror or e})") from e

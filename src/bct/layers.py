@@ -149,10 +149,11 @@ class Conv2d:
 
         def backward(g):
             g2 = g.reshape(n, oc, ho * wo)
-            gt = g2.transpose(1, 0, 2).reshape(oc, n * ho * wo)
-            cols = saved if m == n else _im2col(saved, win, np.empty(ckk * n * ho * wo, saved.dtype))
-            weight.accumulate_grad(np.dot(cols.reshape(ckk, -1), gt.T).T.reshape(weight.shape))
-            del cols  # rebuilt columns go before dx allocates
+            if weight.requires_grad:  # a frozen weight needs neither the columns nor the GEMM
+                gt = g2.transpose(1, 0, 2).reshape(oc, n * ho * wo)
+                cols = saved if m == n else _im2col(saved, win, np.empty(ckk * n * ho * wo, saved.dtype))
+                weight.accumulate_grad(np.dot(cols.reshape(ckk, -1), gt.T).T.reshape(weight.shape))
+                del cols  # rebuilt columns go before dx allocates
             bias.accumulate_grad(g2.sum(axis=(0, 2)))
             if x.requires_grad:
                 dxp = np.zeros((n, c, h + 2 * p, w + 2 * p), x.dtype)
@@ -274,7 +275,8 @@ class Dense:
         def backward(g):
             if x.requires_grad:
                 x.accumulate_grad(g @ weight.data)
-            weight.accumulate_grad(g.T @ x.data)
+            if weight.requires_grad:
+                weight.accumulate_grad(g.T @ x.data)
             bias.accumulate_grad(g.sum(axis=0))
 
         return Tensor.from_op(out, (x, weight, bias), backward)

@@ -5,9 +5,9 @@ for parameters, gradients and moments; the registry's tensors, their first
 gradients and the m/v dicts are views into it. step() runs each rule's
 ufuncs once per contiguous run of unfrozen parameters (one run in every
 paradigm), per element the same ufuncs as a per-tensor loop, in the
-registry's one dtype; the scalar factors are float64. A frozen parameter's
-value AND moments stay untouched, so freezing is fully reversible; the step
-counter t advances once per step() call regardless of freezing.
+registry's one dtype; the scalar factors are float64. A frozen parameter
+gets no gradient and keeps its value AND moments, so freezing is fully
+reversible; the step counter t advances once per step() call regardless.
 """
 
 import itertools
@@ -102,12 +102,14 @@ class Optimizer:
         return {name: flat[span].reshape(self.params[name].shape) for name, span in self.spans.items()}
 
     def set_freeze(self, names) -> None:
-        """Replace the frozen set; every name must exist in the registry."""
+        """Replace the frozen set, whose tensors stop requiring grad; every name must exist in the registry."""
         names = frozenset(names)
         unknown = sorted(names - set(self.params))
         if unknown:
             raise KeyError(f"cannot freeze unknown parameters: {unknown}")
         self.frozen = names
+        for name, p in self.params.items():
+            p.requires_grad = name not in names
         self.runs = []
         for name in self.trainable_names():
             span = self.spans[name]

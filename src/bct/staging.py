@@ -125,7 +125,5 @@ def pretrain_source(config, out_path) -> Path:
     backbone = {n: a for n, a in state.items() if n.startswith("backbone.")}
     if not backbone:
         raise ConfigError("model has no backbone.* parameters to export")
-    out_path = Path(out_path)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(backbone, out_path)
-    return out_path
+    return Path(out_path)

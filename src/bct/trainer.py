@@ -26,7 +26,7 @@ from . import config as config_mod
 from .checkpoint import load_subset, save_checkpoint
 from .config import TrainConfig
 from .data import load_split, make_batches, stack_batch
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, write_output
 from .layers import Model, build_backbone, build_cnn
 from .losses import make_loss
 from .metrics import ConfusionCounts, MetricReport, compute_metrics, count_batch
@@ -306,20 +306,18 @@ def result_dict(log: RunLog) -> dict:
 
 def write_outputs(log: RunLog, config: TrainConfig, echo: dict | None = None) -> Path:
     out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "runlog.csv").write_text(runlog_csv(log), encoding="utf-8")
-    (out / "walltime.csv").write_text(walltime_csv(log), encoding="utf-8")
-    (out / "result.json").write_text(
-        json.dumps(result_dict(log), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_output(out / "runlog.csv", runlog_csv(log), ConfigError)
+    write_output(out / "walltime.csv", walltime_csv(log), ConfigError)
     echo = echo if echo is not None else config_mod.flatten(config)
     # the echo records what determines the results; the landing dir doesn't
     manifest_lines = [f"{k} = {echo[k]}" for k in sorted(echo) if k != "train.out_dir"]
-    (out / "manifest.txt").write_text("\n".join(manifest_lines) + "\n", encoding="utf-8")
+    write_output(out / "manifest.txt", "\n".join(manifest_lines) + "\n", ConfigError)
     save_checkpoint(log.final_state, out / "final.bct1")
     save_checkpoint(
         log.best_state if log.best_state is not None else log.final_state, out / "best.bct1"
     )
+    # last, so a result.json marks a complete run directory
+    write_output(out / "result.json", json.dumps(result_dict(log), indent=2, sort_keys=True) + "\n", ConfigError)
     return out
 
 
@@ -484,8 +482,6 @@ def run_ablation(suite: str, base: TrainConfig, seeds, out_dir, jobs: int = 1) -
         _arm_row(arm, [r for r in summaries if r["arm"] == arm]) for arm in arm_order
     ]
     table = AblationTable(suite=suite, seeds=seeds, arms=arm_order, runs=summaries, rows=rows)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "ablation.md").write_text(table.markdown(), encoding="utf-8")
-    (out_dir / "ablation.csv").write_text(table.csv(), encoding="utf-8")
-    (out_dir / "runs.jsonl").write_text(table.jsonl(), encoding="utf-8")
+    for name, text in (("ablation.md", table.markdown()), ("ablation.csv", table.csv()), ("runs.jsonl", table.jsonl())):
+        write_output(out_dir / name, text, ConfigError)
     return table

@@ -1,3 +1,5 @@
+import errno
+import os
 import struct
 
 import numpy as np
@@ -158,3 +160,25 @@ def test_failed_load_leaves_the_model_untouched(tmp_path):
         load_subset(m, path, "")
     for name, arr in before.items():
         assert m.params[name].data.tobytes() == arr.tobytes()
+
+
+def test_save_makes_a_missing_directory_and_leaves_only_the_checkpoint(tmp_path):
+    path = tmp_path / "runs" / "seed_0" / "backbone.bct1"
+    save_checkpoint({"w": np.ones(3, np.float32)}, path)
+    np.testing.assert_array_equal(read_checkpoint(path)["w"], np.ones(3, np.float32))
+    assert [p.name for p in path.parent.iterdir()] == ["backbone.bct1"]
+
+
+def test_failed_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "best.bct1"
+    save_checkpoint({"w": np.zeros(2, np.float32)}, path)
+    before = path.read_bytes()
+
+    def replace(src, dst):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(CheckpointError, match=r"best\.bct1: cannot write \(No space left on device\)"):
+        save_checkpoint({"w": np.ones(2, np.float32)}, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["best.bct1"]

@@ -464,6 +464,46 @@ class TestOutputPaths:
         assert f"{tmp_path / 'runlog.csv'} is not a file" in err and "does not exist" not in err
 
 
+class TestFailedWrites:
+    """A write that fails after the work exits 2, or 3 for datasets and checkpoints, naming the path."""
+
+    def assert_names(self, capsys, prefix, path):
+        err = capsys.readouterr().err
+        assert f"{prefix}: {path}: cannot write (" in err and "Traceback" not in err, err
+
+    def test_train_whose_runlog_is_a_directory(self, workspace, tmp_path, capsys):
+        (tmp_path / "run1" / "runlog.csv").mkdir(parents=True)
+        assert main(tiny_train(workspace, "--train.out_dir", str(tmp_path / "run1"))) == 2
+        self.assert_names(capsys, "config error", tmp_path / "run1" / "runlog.csv")
+        assert not (tmp_path / "run1" / "result.json").exists()
+
+    def test_plot_whose_svg_is_a_directory(self, workspace, tmp_path, capsys):
+        (tmp_path / "plots" / "loss.svg").mkdir(parents=True)
+        assert main(["plot", "--run", str(workspace / "run"), "--out", str(tmp_path / "plots")]) == 2
+        self.assert_names(capsys, "config error", tmp_path / "plots" / "loss.svg")
+
+    def test_synth_whose_image_is_a_directory(self, tmp_path, capsys):
+        image = tmp_path / "ds2" / "class0" / "img_0000.ppm"
+        image.mkdir(parents=True)
+        assert main(["synth", "--out", str(tmp_path / "ds2"), "--size", "16", "--per-class", "2"]) == 3
+        self.assert_names(capsys, "data error", image)
+
+    def test_ablate_whose_table_is_a_directory(self, workspace, tmp_path, capsys):
+        (tmp_path / "abl" / "ablation.md").mkdir(parents=True)
+        assert main(["ablate", "--suite", "loss", "--seeds", "0", "--out", str(tmp_path / "abl"),
+                     *tiny_train(workspace)[2:]]) == 2
+        self.assert_names(capsys, "config error", tmp_path / "abl" / "ablation.md")
+
+    def test_evaluate_out_that_links_into_a_missing_directory(self, workspace, tmp_path, capsys):
+        out = tmp_path / "ev.jsonl"
+        out.symlink_to(tmp_path / "missing" / "ev.jsonl")
+        assert main(["evaluate", "--data.root", str(workspace / "ds"), "--data.image_size", "16",
+                     "--model.channels", "4,8,8", "--model.dense_width", "16",
+                     "--checkpoint", str(workspace / "run" / "best.bct1"), "--out", str(out)]) == 2
+        self.assert_names(capsys, "config error", out)
+        assert not (tmp_path / "missing").exists()
+
+
 class TestInputPaths:
     """A missing or non-file input exits 2 or 3 with an error naming the path, never with a traceback."""
 

@@ -7,22 +7,31 @@ seeded 1-3 byte overwrites. Every case must parse or raise the parser's own
 error (CheckpointError, DataError, ConfigError); any other exception is a
 parser bug. A path that is missing, is a directory or cannot be read must
 raise that error too, naming the path, from those parsers and bct inspect.
+
+Their writers go through write_output: a write that fails leaves the previous
+file and no temp file, and raises the writer's error naming the path. No
+other module of src/bct reads or writes a file itself.
 """
 
 import argparse
+import ast
 import builtins
 import errno
 import io
+import os
 import random
+import stat
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bct
 from bct.checkpoint import CheckpointError, read_checkpoint, save_checkpoint
 from bct.cli import _inspect_runlog, cmd_inspect, cmd_plot
 from bct.config import build_config
 from bct.data import MANIFEST_NAME, DatasetManifest, load_manifest, read_ppm, save_manifest, write_ppm
-from bct.errors import ConfigError, DataError
+from bct.errors import ConfigError, DataError, write_output
 from bct.trainer import EpochRecord, RunLog, runlog_csv
 
 N_FLIPS = 2000
@@ -176,3 +185,93 @@ def test_unreadable_path_raises_the_parsers_error_naming_it(tmp_path, monkeypatc
     else:
         want = {"missing": "does not exist", "directory": "is not a file", "denied": "Permission denied"}[case]
         assert str(path) in message and want in message, message
+
+
+class FailingWrite:
+    """A file whose write puts half the data down, then fails as a full disk does."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def fail_writes(monkeypatch, how):
+    """Make write_output's temp file write fail halfway, or its os.replace fail."""
+    if how == "replace":
+        def replace(src, dst):
+            raise OSError(errno.EXDEV, "Invalid cross-device link")
+
+        monkeypatch.setattr(os, "replace", replace)
+        return "Invalid cross-device link"
+    real_open = builtins.open
+
+    def opener(file, *args, **kwargs):  # the temp file is opened from its descriptor
+        fh = real_open(file, *args, **kwargs)
+        return FailingWrite(fh) if isinstance(file, int) else fh
+
+    monkeypatch.setattr(builtins, "open", opener)
+    return "No space left on device"
+
+
+def write_text(path):
+    write_output(path, "new text\n", ConfigError)
+
+
+@pytest.mark.parametrize("how", ["write", "replace"])
+@pytest.mark.parametrize(
+    "name, write_valid, error",
+    [
+        ("valid.bct1", valid_checkpoint, CheckpointError),
+        ("valid.ppm", valid_ppm, DataError),
+        (MANIFEST_NAME, valid_manifest, DataError),
+        ("out.txt", write_text, ConfigError),
+    ],
+    ids=["save_checkpoint", "write_ppm", "save_manifest", "write_output"],
+)
+def test_failed_write_keeps_the_previous_file_and_names_the_path(tmp_path, monkeypatch, name, write_valid, error,
+                                                                 how):
+    path = tmp_path / name
+    path.write_bytes(b"previous bytes")
+    strerror = fail_writes(monkeypatch, how)
+    with pytest.raises(error) as raised:
+        write_valid(path)
+    assert str(raised.value) == f"{path}: cannot write ({strerror})"
+    assert path.read_bytes() == b"previous bytes"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [name]  # no temp file left
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=["022", "077", "002"])
+def test_written_file_has_the_mode_write_text_gives(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        (tmp_path / "by_path.txt").write_text("x", encoding="utf-8")
+        write_output(tmp_path / "by_writer.txt", "x", ConfigError)
+    finally:
+        os.umask(old)
+    want = stat.S_IMODE((tmp_path / "by_path.txt").stat().st_mode)
+    assert stat.S_IMODE((tmp_path / "by_writer.txt").stat().st_mode) == want
+
+
+def test_only_errors_py_reads_or_writes_files():
+    """Every file read goes through read_input and every write through write_output."""
+    found = []
+    for source in sorted(Path(bct.__file__).parent.glob("*.py")):
+        if source.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in ("write_text", "write_bytes", "read_text", "read_bytes"):
+                found.append(f"{source.name}:{node.lineno}: .{node.attr}")
+            if isinstance(node, ast.Call):
+                func = node.func
+                if getattr(func, "id", None) == "open" or getattr(func, "attr", None) == "open":
+                    found.append(f"{source.name}:{node.lineno}: open()")
+    assert not found, found

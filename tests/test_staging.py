@@ -10,10 +10,12 @@ from bct.data import synth_generate
 from bct.checkpoint import read_checkpoint
 from bct.config import ModelConfig, TrainConfig
 from bct.errors import ConfigError
-from bct.layers import Dense, Model
+from bct.layers import Dense, Model, build_backbone
+from bct.losses import cross_entropy
 from bct.optim import Optimizer, OptimizerConfig
 from bct.rng import Rng
 from bct.staging import PARADIGMS, StagedDriver, pretrain_source
+from bct.tensor import Tensor
 
 
 def two_part_model():
@@ -126,6 +128,29 @@ class TestStagedDriver:
         assert d["reason"] == "cap"
         assert d["newly_trainable"] == ["backbone.d1.bias", "backbone.d1.weight"]
         assert d["moments_reset"] is False
+
+    def test_frozen_stage_computes_no_gradient_for_its_frozen_params(self):
+        model = build_backbone(input_shape=(3, 8, 8), channels=(2, 3, 4), dense_width=5, seed=0)
+        opt = Optimizer(model.params, OptimizerConfig(kind="adam"))
+        driver = StagedDriver(model, "etl", opt, stage_cap=5)
+        x = Tensor(np.random.default_rng(0).random((4, 3, 8, 8)))
+        targets = Tensor(np.eye(2)[[0, 1, 1, 0]])
+
+        def step():
+            opt.zero_grad()
+            cross_entropy(model(x), targets).backward()
+            opt.step()
+            return {prefix: [n for n, p in model.params.items() if n.startswith(prefix) and p.grad is not None]
+                    for prefix in ("backbone.", "head.")}
+
+        graded = step()  # tl's stage: the head trains on a fixed backbone
+        assert graded["backbone."] == [] and len(graded["head."]) == 4
+        first_conv = model.layers[0][1]
+        assert not first_conv(x).requires_grad  # nothing below the head is recorded
+        driver.record_epoch(1, converged=True)  # etl's switch: the backbone trains, the head is frozen
+        graded = step()
+        assert graded["head."] == [] and len(graded["backbone."]) == 2 * 3
+        assert first_conv(x).requires_grad
 
 
 class TestPretrainSource:
