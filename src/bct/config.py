@@ -6,7 +6,8 @@ starting with '#'. Keys use dotted section prefixes (data., model., loss.,
 optim., paradigm., train.). Every key has a typed registry entry; unknown
 keys fail with a nearest-name suggestion, duplicates fail citing both lines,
 and bad values fail naming the expected type. Validation runs before any
-work starts.
+work starts. flatten() renders a config in the same format, so a run's
+manifest.txt reads back as its config.
 """
 
 import difflib
@@ -14,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .data import DatasetManifest, ensure_manifest
+from .data import DatasetManifest, check_ratios, ensure_manifest, read_key_values
 from .errors import ConfigError, read_input
 from .losses import LOSS_KINDS, REDUCTIONS, LossSpec
 from .optim import OPTIMIZER_KINDS, OptimizerConfig
@@ -90,9 +91,7 @@ class TrainConfig:
             raise ConfigError(f"train.loss_threshold must be finite and > 0, got {self.loss_threshold}")
         if self.image_size < 2:
             raise ConfigError(f"data.image_size must be >= 2, got {self.image_size}")
-        r = self.ratios  # the comparisons are written so that NaN fails them
-        if len(r) != 3 or not all(x >= 0 for x in r) or not abs(sum(r) - 1) <= 1e-9:
-            raise ConfigError(f"data.ratios must be three non-negative values summing to 1, got {self.ratios}")
+        check_ratios(self.ratios)
         if self.out_dir:
             check_out_dir(self.out_dir, "train.out_dir")
 
@@ -165,7 +164,7 @@ def _fmt(value) -> str:
     return str(value)
 
 
-# key -> (parser, getter path "attr" or "sub.attr", default-source)
+# key -> (parser, attribute path "attr" or "sub.attr")
 _REGISTRY: dict[str, tuple] = {
     "data.root": (str, "data_root"),
     "data.image_size": (_parse_int, "image_size"),
@@ -219,20 +218,6 @@ def flatten(config: TrainConfig) -> dict[str, str]:
     return {key: _fmt(_get_path(config, path)) for key, (_, path) in _REGISTRY.items()}
 
 
-def read_config_file(path) -> list[tuple[str, str, int]]:
-    """(key, raw value, line number) triples; syntax errors only, no typing."""
-    out = []
-    for ln, line in enumerate(read_input(path, ConfigError, text=True).splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ConfigError(f"{path}:{ln}: expected 'key = value', got {line.rstrip()!r}")
-        out.append((key.strip(), value.strip(), ln))
-    return out
-
-
 def _reject_unknown(key: str, where: str) -> None:
     if key in _REGISTRY:
         return
@@ -245,29 +230,25 @@ def build_config(path=None, overrides=()) -> TrainConfig:
     """Defaults <- config file <- command-line overrides, validated.
 
     overrides is a sequence of (key, value-string) pairs applied in order
-    after the file; later overrides of the same key win.
+    after the file; later overrides of the same key win. An empty value sets
+    a key whose default is None back to None, so a flatten() echo, such as a
+    run's manifest.txt, reads back as the config that wrote it.
     """
-    config = TrainConfig()
+    config, defaults = TrainConfig(), TrainConfig()
+    entries = []  # (key, value, where an unknown key is reported, label of a bad value)
     if path is not None:
-        seen: dict[str, int] = {}
-        for key, value, ln in read_config_file(path):
-            _reject_unknown(key, f"{path}:{ln}")
-            if key in seen:
-                raise ConfigError(
-                    f"{path}:{ln}: duplicate key {key!r}, first set on line {seen[key]}"
-                )
-            seen[key] = ln
-            parser, attr = _REGISTRY[key]
-            try:
-                _set_path(config, attr, parser(value))
-            except ConfigError as e:
-                raise ConfigError(f"{path}:{ln}: {key}: {e}") from None
-    for key, value in overrides:
-        _reject_unknown(key, "command line")
+        lines = enumerate(read_input(path, ConfigError, text=True).splitlines(), start=1)
+        kept = [(ln, line) for ln, line in lines if line.strip() and not line.strip().startswith("#")]
+        for key, (value, ln) in read_key_values(kept, path, ConfigError).items():
+            entries.append((key, value, f"{path}:{ln}", f"{path}:{ln}: {key}"))
+    entries += [(key, value, "command line", f"--{key}") for key, value in overrides]
+    for key, value, where, label in entries:
+        _reject_unknown(key, where)
         parser, attr = _REGISTRY[key]
+        unset = value == "" and _get_path(defaults, attr) is None
         try:
-            _set_path(config, attr, parser(value))
+            _set_path(config, attr, None if unset else parser(value))
         except ConfigError as e:
-            raise ConfigError(f"--{key}: {e}") from None
+            raise ConfigError(f"{label}: {e}") from None
     config.validate()
     return config

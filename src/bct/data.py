@@ -9,6 +9,7 @@ identical bytes everywhere. Splits stay uint8; batches are index arrays.
 
 import math
 from dataclasses import dataclass
+from itertools import takewhile
 from pathlib import Path
 from typing import NamedTuple
 
@@ -216,14 +217,11 @@ def _check_split(split: str) -> None:
         raise ValueError(f"unknown split {split!r}; expected one of {SPLITS}")
 
 
-def _check_ratios(ratios) -> tuple:
-    if len(ratios) != 3:
-        raise ConfigError(f"need three split ratios, got {len(ratios)}")
+def check_ratios(ratios) -> tuple:
+    """The train/val/test ratios as floats; a ConfigError unless they are three non-negative values summing to 1."""
     r = tuple(float(x) for x in ratios)
-    if not all(x >= 0 for x in r):  # written so that NaN fails too
-        raise ConfigError(f"split ratios must be non-negative, got {r}")
-    if not abs(sum(r) - 1.0) <= 1e-9:
-        raise ConfigError(f"split ratios must sum to 1, got {r} (sum {sum(r)})")
+    if len(r) != 3 or not all(x >= 0 for x in r) or not abs(sum(r) - 1.0) <= 1e-9:  # written so that NaN fails
+        raise ConfigError(f"data.ratios must be three non-negative values that sum to 1, got {r}")
     return r
 
 
@@ -244,7 +242,7 @@ def scan_dataset(root, image_size: int = 64, ratios: tuple = (0.8, 0.1, 0.1), se
     Ids are sorted before the seeded shuffle, so the assignment depends only
     on the file names, the seed, and the ratios.
     """
-    ratios = _check_ratios(ratios)
+    ratios = check_ratios(ratios)
     root = Path(root)
     if not root.is_dir():
         raise DataError(f"dataset root {root} does not exist")
@@ -285,7 +283,7 @@ def ensure_manifest(root, image_size: int = 64, ratios: tuple = (0.8, 0.1, 0.1),
     with the requested ones. image_size only controls decoding, never the
     split, so the returned manifest always adopts the requested size.
     """
-    ratios = _check_ratios(ratios)
+    ratios = check_ratios(ratios)
     if not (Path(root) / MANIFEST_NAME).exists():  # anything else at the path is load_manifest's error
         return scan_dataset(root, image_size, ratios, seed)
     manifest = load_manifest(root)
@@ -299,6 +297,21 @@ def ensure_manifest(root, image_size: int = 64, ratios: tuple = (0.8, 0.1, 0.1),
         )
     manifest.image_size = image_size
     return manifest
+
+
+def read_key_values(lines, path, error: type) -> dict[str, tuple[str, int]]:
+    """{key: (value, line number)} of `key = value` lines, given as (line number, line) pairs; a line without '='
+    or a key set twice raises error naming path and line. Config files and the manifest header share this format."""
+    found: dict[str, tuple[str, int]] = {}
+    for ln, line in lines:
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise error(f"{path}:{ln}: expected 'key = value', got {line.rstrip()!r}")
+        key = key.strip()
+        if key in found:
+            raise error(f"{path}:{ln}: duplicate key {key!r}, first set on line {found[key][1]}")
+        found[key] = (value.strip(), ln)
+    return found
 
 
 def save_manifest(manifest: DatasetManifest) -> None:
@@ -316,35 +329,21 @@ def load_manifest(root) -> DatasetManifest:
     path = Path(root) / MANIFEST_NAME
     if not path.exists():
         raise DataError(f"{root}: no {MANIFEST_NAME}; run scan (or synth) first")
-    text = read_input(path, DataError, text=True)
-    header: dict[str, str] = {}
-    key_lines: dict[str, int] = {}  # header key -> the line that set it
+    lines = enumerate(read_input(path, DataError, text=True).splitlines(), start=1)
+    header_lines = takewhile(lambda pair: pair[1].strip(), lines)  # also takes the blank line that ends the header
+    header = {key: value for key, (value, _) in read_key_values(header_lines, path, DataError).items()}
     id_lines: dict[str, int] = {}  # image id -> the row that lists it
     entries = []
-    in_header = True
-    for ln, line in enumerate(text.splitlines(), start=1):
-        if in_header:
-            if not line.strip():
-                in_header = False
-                continue
-            key, _, value = line.partition("=")
-            if not _:
-                raise DataError(f"{path}:{ln}: expected 'key = value', got {line!r}")
-            key = key.strip()
-            if key in key_lines:
-                raise DataError(f"{path}:{ln}: duplicate key {key!r}, first set on line {key_lines[key]}")
-            key_lines[key] = ln
-            header[key] = value.strip()
-        else:
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3 or parts[1] not in ("0", "1") or parts[2] not in SPLITS:
-                raise DataError(f"{path}:{ln}: malformed record {line!r}")
-            if parts[0] in id_lines:
-                raise DataError(f"{path}:{ln}: image {parts[0]!r} already listed on line {id_lines[parts[0]]}")
-            id_lines[parts[0]] = ln
-            entries.append((parts[0], int(parts[1]), parts[2]))
+    for ln, line in lines:
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3 or parts[1] not in ("0", "1") or parts[2] not in SPLITS:
+            raise DataError(f"{path}:{ln}: malformed record {line!r}")
+        if parts[0] in id_lines:
+            raise DataError(f"{path}:{ln}: image {parts[0]!r} already listed on line {id_lines[parts[0]]}")
+        id_lines[parts[0]] = ln
+        entries.append((parts[0], int(parts[1]), parts[2]))
     try:
         image_size = int(header["image_size"])
         seed = int(header["seed"])

@@ -1,0 +1,95 @@
+"""Golden artifact ledger: the sha256 of every file a small bct session writes, pinned across revisions.
+
+The session runs through cli.main in a temporary directory, with relative
+paths, so no file holds a machine path: two synth datasets, three train runs
+that cover every loss and every optimizer between them, the paradigm suite
+at --jobs 2, one evaluate line and the two plot SVGs. Only walltime.csv is
+left out. golden/ledger.txt holds one `sha256  relative/path` line per file;
+golden/env.txt records the numpy and BLAS the ledger was made with.
+
+A change that moves artifacts on purpose rewrites both files with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and says which artifacts moved and why.
+"""
+
+import hashlib
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from bct.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+LEDGER = GOLDEN / "ledger.txt"
+ENV = GOLDEN / "env.txt"
+NOT_PINNED = {"walltime.csv"}
+
+COMMON = ["--data.root", "checker", "--data.image_size", "16", "--model.channels", "4,8",
+          "--model.dense_width", "8", "--train.batch_size", "4", "--train.max_epochs", "2"]
+SESSION = (
+    ["synth", "--out", "checker", "--per-class", "8", "--size", "16", "--cell", "4", "--seed", "0"],
+    ["synth", "--out", "rings", "--per-class", "8", "--size", "16", "--cell", "4", "--seed", "1",
+     "--family", "rings"],
+    ["train", "--quiet", *COMMON, "--train.out_dir", "runs/ce_sgd",
+     "--loss.kind", "cross_entropy", "--optim.kind", "sgd", "--optim.momentum", "0.9"],
+    ["train", "--quiet", *COMMON, "--train.out_dir", "runs/bce_adam",
+     "--loss.kind", "binary_cross_entropy", "--optim.kind", "adam", "--train.seed", "3"],
+    ["train", "--quiet", *COMMON, "--train.out_dir", "runs/focal_rectadam",
+     "--loss.kind", "focal", "--loss.gamma", "1.5", "--loss.reduction", "sum", "--optim.kind", "rectadam"],
+    ["ablate", "--suite", "paradigm", "--jobs", "2", "--seeds", "0", "--out", "suite", *COMMON,
+     "--model.kind", "backbone", "--paradigm.source_root", "rings"],
+    ["evaluate", "--checkpoint", "runs/ce_sgd/best.bct1", *COMMON, "--out", "evaluate.jsonl"],
+    ["plot", "--run", "runs/focal_rectadam"],
+)
+
+
+def env_record() -> dict[str, str]:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 has no dict form
+        blas = {}
+    return {"numpy": np.__version__, "blas": f"{blas.get('name')} {blas.get('version')}"}
+
+
+def run_session() -> dict[str, str]:
+    """Run SESSION in the current directory; {relative path: sha256} of every file it wrote, bar walltime.csv."""
+    for argv in SESSION:
+        assert main(argv) == 0, f"bct {' '.join(argv)} failed"
+    return {
+        p.as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(Path().rglob("*"))
+        if p.is_file() and p.name not in NOT_PINNED
+    }
+
+
+def read_lines(path: Path, sep: str) -> list[list[str]]:
+    return [line.split(sep, 1) for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+def test_artifacts_match_the_ledger(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    got = run_session()
+    want = {path: digest for digest, path in read_lines(LEDGER, "  ")}
+    differ = sorted(
+        [f"changed {p}" for p in want.keys() & got.keys() if want[p] != got[p]]
+        + [f"missing {p}" for p in want.keys() - got.keys()]
+        + [f"new {p}" for p in got.keys() - want.keys()]
+    )
+    env, recorded = env_record(), dict(read_lines(ENV, " = "))
+    env_diff = [f"{k}: recorded {recorded.get(k)}, here {env[k]}" for k in env if recorded.get(k) != env[k]]
+    assert not differ, "\n".join(differ + env_diff)
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        digests = run_session()
+    GOLDEN.mkdir(exist_ok=True)
+    LEDGER.write_text("".join(f"{d}  {p}\n" for p, d in digests.items()), encoding="utf-8")
+    ENV.write_text("".join(f"{k} = {v}\n" for k, v in env_record().items()), encoding="utf-8")
+    print(f"wrote {len(digests)} digests to {LEDGER}", file=sys.stderr)
