@@ -9,7 +9,7 @@ Run:  python demos/train_quickstart.py [--out DIR] [--per-class N]
 import argparse
 from pathlib import Path
 
-from bct.config import LossSpec, ModelConfig, OptimizerConfig, TrainConfig, flatten
+from bct.config import LossSpec, ModelConfig, OptimizerConfig, TrainConfig
 from bct.data import synth_generate
 from bct.svgchart import line_chart
 from bct.trainer import train
@@ -38,10 +38,8 @@ def main():
     )
     print()
     print("epoch  train_loss  train_acc  val_acc")
-    log = train(config, echo=flatten(config),
-                progress=lambda r: print(
-                    f"{r.epoch:5d}  {r.train_loss:10.4f}  {r.train_acc:9.3f}  "
-                    f"{r.val_acc:7.3f}"))
+    log = train(config, progress=lambda r: print(
+        f"{r.epoch:5d}  {r.train_loss:10.4f}  {r.train_acc:9.3f}  {r.val_acc:7.3f}"))
 
     print()
     verdict = "converged" if log.converged else "hit the epoch cap"

@@ -18,13 +18,9 @@ import struct
 
 import numpy as np
 
-from .errors import read_input, write_output
+from .errors import CheckpointError, read_input, write_output
 
 MAGIC = b"BCT1"
-
-
-class CheckpointError(ValueError):
-    """Checkpoint file malformed or inconsistent with the target model."""
 
 
 def save_checkpoint(state, path) -> None:

@@ -1,8 +1,9 @@
 """The bct command line: synth, train, evaluate, ablate, plot, inspect.
 
 train, evaluate and ablate read the tokens argparse leaves over as config keys,
---key value or --key=value, applied in order after --config. Errors map to
-fixed exit codes: bad configuration 2, bad data 3, numeric failure 4.
+--key value or --key=value, applied in order after --config. main reports an
+error of bct.errors on one stderr line and exits with the code of its class:
+bad configuration 2, bad data or checkpoint 3, numeric failure 4.
 """
 
 import argparse
@@ -15,29 +16,24 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .checkpoint import CheckpointError, load_subset, read_checkpoint
+from .checkpoint import load_subset, read_checkpoint
 from .config import KEYS, _parse_int_list, _reject_unknown, build_config, check_out_dir
 from .data import load_manifest, load_split, read_ppm, synth_generate
-from .errors import ConfigError, DataError, NumericError, read_input, write_output
+from .errors import CheckpointError, ConfigError, DataError, NumericError, read_input, write_output
 from .svgchart import line_chart
 from .trainer import SUITES, build_model, evaluate, run_ablation, train
 
 
-def _color_enabled(stream) -> bool:
-    if os.environ.get("NO_COLOR"):
-        return False
-    return hasattr(stream, "isatty") and stream.isatty()
-
-
 def _style(text: str, code: str, stream=None) -> str:
+    """text in ANSI style code (1 bold, 31 red, 32 green) if stream (default stdout) is a tty and NO_COLOR is unset or empty."""
     stream = sys.stdout if stream is None else stream
-    if not _color_enabled(stream):
+    if os.environ.get("NO_COLOR") or not (hasattr(stream, "isatty") and stream.isatty()):
         return text
     return f"\x1b[{code}m{text}\x1b[0m"
 
 
-def _bold(text: str) -> str:
-    return _style(text, "1")
+def _metrics_line(report) -> str:
+    return f"acc {report.accuracy:.4f}  recall {report.recall:.4f}  precision {report.precision:.4f}  f1 {report.f1:.4f}"
 
 
 def _join_key_values(argv: list) -> list:
@@ -115,11 +111,7 @@ def cmd_train(args) -> int:
     else:
         print(_style(f"did not converge within {sum(log.per_stage_epochs)} epochs", "31"))
     if log.test_report is not None:
-        m = log.test_report
-        print(
-            f"test: acc {m.accuracy:.4f}  recall {m.recall:.4f}  "
-            f"precision {m.precision:.4f}  f1 {m.f1:.4f}"
-        )
+        print(f"test: {_metrics_line(log.test_report)}")
     if config.out_dir:
         print(f"artifacts in {config.out_dir}")
     return 0
@@ -147,10 +139,7 @@ def cmd_evaluate(args) -> int:
         "metrics": asdict(report),
     }
     write_output(out, json.dumps(record, sort_keys=True) + "\n", ConfigError, append=True)
-    print(
-        f"{args.split}: n {counts.total}  acc {report.accuracy:.4f}  "
-        f"recall {report.recall:.4f}  precision {report.precision:.4f}  f1 {report.f1:.4f}"
-    )
+    print(f"{args.split}: n {counts.total}  {_metrics_line(report)}")
     if report.degenerate:
         print(f"degenerate: {', '.join(report.degenerate)}")
     print(f"appended to {args.out}")
@@ -158,6 +147,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    check_out_dir(args.out, "--out")
     config = _config_from_args(args)
     table = run_ablation(args.suite, config, _parse_flag_ints("--seeds", args.seeds), args.out, jobs=args.jobs)
     sys.stdout.write(table.markdown())
@@ -223,7 +213,7 @@ def cmd_plot(args) -> int:
 
 def _inspect_checkpoint(path: Path) -> None:
     params = read_checkpoint(path)
-    print(_bold(f"{path}: parameter checkpoint, {len(params)} arrays"))
+    print(_style(f"{path}: parameter checkpoint, {len(params)} arrays", "1"))
     total = 0
     for name, array in params.items():
         total += array.size
@@ -234,7 +224,7 @@ def _inspect_checkpoint(path: Path) -> None:
 
 def _inspect_manifest(path: Path) -> None:
     manifest = load_manifest(path.parent)
-    print(_bold(f"{path}: dataset manifest"))
+    print(_style(f"{path}: dataset manifest", "1"))
     print(manifest.summary())
 
 
@@ -242,7 +232,7 @@ def _inspect_runlog(path: Path) -> None:
     rows = _read_runlog(path)
     stages = sorted({int(r["stage"]) for r in rows})
     last = rows[-1]
-    print(_bold(f"{path}: training log, {len(rows)} epochs, stages {stages}"))
+    print(_style(f"{path}: training log, {len(rows)} epochs, stages {stages}", "1"))
     print(f"  final: loss {last['train_loss']}  acc {last['train_acc']}  val {last['val_acc']}")
     vals = [(v, i) for i, r in enumerate(rows) if not math.isnan(v := float(r["val_acc"]))]
     if vals:
@@ -253,7 +243,7 @@ def _inspect_runlog(path: Path) -> None:
 def _inspect_ppm(path: Path) -> None:
     image = read_ppm(path)
     h, w, _ = image.shape
-    print(_bold(f"{path}: PPM image, {w}x{h}, 3 channels"))
+    print(_style(f"{path}: PPM image, {w}x{h}, 3 channels", "1"))
 
 
 def cmd_inspect(args) -> int:
@@ -336,18 +326,9 @@ def main(argv=None) -> int:
     args.overrides = rest
     try:
         return args.fn(args)
-    except ConfigError as e:
-        print(_style(f"config error: {e}", "31", sys.stderr), file=sys.stderr)
-        return 2
-    except CheckpointError as e:
-        print(_style(f"checkpoint error: {e}", "31", sys.stderr), file=sys.stderr)
-        return 3
-    except DataError as e:
-        print(_style(f"data error: {e}", "31", sys.stderr), file=sys.stderr)
-        return 3
-    except NumericError as e:
-        print(_style(f"numeric error: {e}", "31", sys.stderr), file=sys.stderr)
-        return 4
+    except (ConfigError, DataError, CheckpointError, NumericError) as e:
+        print(_style(f"{e.label}: {e}", "31", sys.stderr), file=sys.stderr)
+        return e.exit_code
 
 
 if __name__ == "__main__":

@@ -331,7 +331,11 @@ def load_manifest(root) -> DatasetManifest:
         raise DataError(f"{root}: no {MANIFEST_NAME}; run scan (or synth) first")
     lines = enumerate(read_input(path, DataError, text=True).splitlines(), start=1)
     header_lines = takewhile(lambda pair: pair[1].strip(), lines)  # also takes the blank line that ends the header
-    header = {key: value for key, (value, _) in read_key_values(header_lines, path, DataError).items()}
+    header = {}
+    for key, (value, ln) in read_key_values(header_lines, path, DataError).items():
+        if key not in ("image_size", "ratios", "seed"):
+            raise DataError(f"{path}:{ln}: unknown header key {key!r}; expected image_size, ratios and seed")
+        header[key] = value
     id_lines: dict[str, int] = {}  # image id -> the row that lists it
     entries = []
     for ln, line in lines:

@@ -1,7 +1,8 @@
 """Error taxonomy surfaced through the CLI exit codes, the one input file reader and the one output file writer.
 
-ConfigError -> exit 2, DataError and bct.checkpoint.CheckpointError -> exit 3,
-NumericError -> exit 4.
+Each error the CLI reports carries its exit_code and label on its class, and
+cli.main prints every one as `<label>: <message>` and exits with its code:
+ConfigError 2, DataError and CheckpointError 3, NumericError 4.
 A run that diverges raises NumericError: train() and the evaluation passes
 check that a forward's scores are finite before any loss reads them, and
 the optimizer checks each update. ShapeError and DomainError (``**``, the
@@ -19,13 +20,25 @@ from pathlib import Path
 class ConfigError(ValueError):
     """Invalid or contradictory configuration (unknown key, bad value, ...)."""
 
+    exit_code, label = 2, "config error"
+
 
 class DataError(ValueError):
     """Dataset problems: missing directories, corrupt image files, bad splits."""
 
+    exit_code, label = 3, "data error"
+
+
+class CheckpointError(ValueError):
+    """Checkpoint file malformed or inconsistent with the target model."""
+
+    exit_code, label = 3, "checkpoint error"
+
 
 class NumericError(RuntimeError):
     """Training diverged: non-finite scores, loss or parameter values."""
+
+    exit_code, label = 4, "numeric error"
 
 
 def read_input(path, error: type, text: bool = False):

@@ -11,6 +11,7 @@ checked against the full train split at each epoch end: accuracy >=
 acc_threshold and per-sample mean loss <= loss_threshold.
 """
 
+import contextlib
 import ctypes
 import functools
 import json
@@ -162,7 +163,7 @@ def _keep_freed_pages() -> None:
         pass
 
 
-def train(config: TrainConfig, echo: dict | None = None, progress=None) -> RunLog:
+def train(config: TrainConfig, progress=None) -> RunLog:
     """Run one full training per the config; write outputs if out_dir is set.
 
     progress, if given, is called with each EpochRecord as it lands.
@@ -262,7 +263,7 @@ def train(config: TrainConfig, echo: dict | None = None, progress=None) -> RunLo
         model.load_state(log.final_state)
 
     if config.out_dir:
-        write_outputs(log, config, echo)
+        write_outputs(log, config)
     return log
 
 
@@ -304,11 +305,11 @@ def result_dict(log: RunLog) -> dict:
     }
 
 
-def write_outputs(log: RunLog, config: TrainConfig, echo: dict | None = None) -> Path:
+def write_outputs(log: RunLog, config: TrainConfig) -> Path:
     out = Path(config.out_dir)
     write_output(out / "runlog.csv", runlog_csv(log), ConfigError)
     write_output(out / "walltime.csv", walltime_csv(log), ConfigError)
-    echo = echo if echo is not None else config_mod.flatten(config)
+    echo = config_mod.flatten(config)
     # the echo records what determines the results; the landing dir doesn't
     manifest_lines = [f"{k} = {echo[k]}" for k in sorted(echo) if k != "train.out_dir"]
     write_output(out / "manifest.txt", "\n".join(manifest_lines) + "\n", ConfigError)
@@ -468,14 +469,10 @@ def run_ablation(suite: str, base: TrainConfig, seeds, out_dir, jobs: int = 1) -
         base.manifest(root)
 
     jobs = min(jobs, len(run_jobs))  # a pool forks all its workers up front
-    if jobs == 1:
-        for job in pretrain_jobs:
-            _pretrain_one(job)
-        summaries = [_run_one(job) for job in run_jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(_pretrain_one, pretrain_jobs))
-            summaries = list(pool.map(_run_one, run_jobs))
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else contextlib.nullcontext() as pool:
+        run = map if pool is None else pool.map
+        list(run(_pretrain_one, pretrain_jobs))  # every backbone lands before an arm reads it
+        summaries = list(run(_run_one, run_jobs))
 
     summaries.sort(key=lambda r: (arm_order.index(r["arm"]), seeds.index(r["seed"])))
     rows = [

@@ -63,3 +63,14 @@ def test_manifest_header_line_without_equals_reads_like_a_config_line(tmp_path):
     config.write_text("image size 8  \n")
     with pytest.raises(ConfigError, match=r"run\.conf:1: expected 'key = value', got 'image size 8'$"):
         build_config(config)
+
+
+@pytest.mark.parametrize("line, key", [("sede = 9", "sede"), ("# note = hand edited", "# note")], ids=["typo", "comment"])
+def test_manifest_header_rejects_a_key_it_does_not_know(tmp_path, line, key):
+    synth_generate(tmp_path, n_per_class=2, seed=3, image_size=8)
+    path = tmp_path / MANIFEST_NAME
+    lines = path.read_text().splitlines()
+    lines.insert(2, line)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match=rf"{MANIFEST_NAME}:3: unknown header key {key!r}; expected image_size, ratios and seed$"):
+        load_manifest(tmp_path)
