@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .checkpoint import load_subset, read_checkpoint
 from .config import KEYS, _parse_int_list, _reject_unknown, build_config, check_out_dir
-from .data import load_manifest, load_split, read_ppm, synth_generate
+from .data import fmt_float, load_manifest, load_split, read_ppm, synth_generate
 from .errors import CheckpointError, ConfigError, DataError, NumericError, read_input, write_output
 from .svgchart import line_chart
 from .trainer import SUITES, build_model, evaluate, run_ablation, train
@@ -109,7 +109,7 @@ def cmd_train(args) -> int:
     if log.converged:
         print(_style(f"converged in {log.epochs_label()} epochs", "32"))
     else:
-        print(_style(f"did not converge within {sum(log.per_stage_epochs)} epochs", "31"))
+        print(_style(f"did not converge within {log.epochs_total} epochs", "31"))
     if log.test_report is not None:
         print(f"test: {_metrics_line(log.test_report)}")
     if config.out_dir:
@@ -237,7 +237,7 @@ def _inspect_runlog(path: Path) -> None:
     vals = [(v, i) for i, r in enumerate(rows) if not math.isnan(v := float(r["val_acc"]))]
     if vals:
         best, idx = max(vals, key=lambda t: (t[0], -t[1]))
-        print(f"  best val acc {best:.9g} at epoch {rows[idx]['epoch']}")
+        print(f"  best val acc {fmt_float(best)} at epoch {rows[idx]['epoch']}")
 
 
 def _inspect_ppm(path: Path) -> None:

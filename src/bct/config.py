@@ -13,9 +13,10 @@ manifest.txt reads back as its config.
 import difflib
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 
-from .data import DatasetManifest, check_ratios, ensure_manifest, read_key_values
+from .data import DatasetManifest, check_ratios, ensure_manifest, fmt_float, read_key_values
 from .errors import ConfigError, read_input
 from .losses import LOSS_KINDS, REDUCTIONS, LossSpec
 from .optim import OPTIMIZER_KINDS, OptimizerConfig
@@ -114,35 +115,21 @@ def check_out_dir(path, name: str) -> None:
 
 # ---------------------------------------------------------------- registry
 
-def _parse_int(s):
-    try:
-        return int(s)
-    except ValueError:
-        raise ConfigError(f"expected an integer, got {s!r}") from None
+def _parser(convert, expected: str):
+    """A value parser: convert(s), with its ValueError turned into a ConfigError naming what was expected."""
+    def parse(s):
+        try:
+            return convert(s)
+        except ValueError:
+            raise ConfigError(f"expected {expected}, got {s!r}") from None
+
+    return parse
 
 
-def _parse_float(s):
-    try:
-        return float(s)
-    except ValueError:
-        raise ConfigError(f"expected a number, got {s!r}") from None
-
-
-def _parse_int_list(s):
-    try:
-        return tuple(int(x.strip()) for x in s.split(","))
-    except ValueError:
-        raise ConfigError(f"expected comma-separated integers, got {s!r}") from None
-
-
-def _parse_ratios(s):
-    try:
-        parts = tuple(float(x.strip()) for x in s.split(","))
-    except ValueError:
-        raise ConfigError(f"expected comma-separated numbers, got {s!r}") from None
-    if len(parts) != 3:
-        raise ConfigError(f"expected three ratios, got {len(parts)} in {s!r}")
-    return parts
+_parse_int = _parser(int, "an integer")
+_parse_float = _parser(float, "a number")
+_parse_int_list = _parser(lambda s: tuple(map(int, s.split(","))), "comma-separated integers")
+_parse_ratios = _parser(lambda s: tuple(map(float, s.split(","))), "comma-separated numbers")  # validate() checks them with check_ratios
 
 
 def _choice(*options):
@@ -158,7 +145,7 @@ def _fmt(value) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
-        return f"{value:.9g}"
+        return fmt_float(value)
     if isinstance(value, (tuple, list)):
         return ",".join(_fmt(v) for v in value)
     return str(value)
@@ -198,24 +185,14 @@ _REGISTRY: dict[str, tuple] = {
 KEYS = tuple(_REGISTRY)
 
 
-def _get_path(config: TrainConfig, path: str):
-    obj = config
-    for part in path.split("."):
-        obj = getattr(obj, part)
-    return obj
-
-
 def _set_path(config: TrainConfig, path: str, value) -> None:
-    parts = path.split(".")
-    obj = config
-    for part in parts[:-1]:
-        obj = getattr(obj, part)
-    setattr(obj, parts[-1], value)
+    owner, _, name = path.rpartition(".")
+    setattr(attrgetter(owner)(config) if owner else config, name, value)
 
 
 def flatten(config: TrainConfig) -> dict[str, str]:
     """Canonical flat rendering of every key, for config echo files."""
-    return {key: _fmt(_get_path(config, path)) for key, (_, path) in _REGISTRY.items()}
+    return {key: _fmt(attrgetter(path)(config)) for key, (_, path) in _REGISTRY.items()}
 
 
 def _reject_unknown(key: str, where: str) -> None:
@@ -245,7 +222,7 @@ def build_config(path=None, overrides=()) -> TrainConfig:
     for key, value, where, label in entries:
         _reject_unknown(key, where)
         parser, attr = _REGISTRY[key]
-        unset = value == "" and _get_path(defaults, attr) is None
+        unset = value == "" and attrgetter(attr)(defaults) is None
         try:
             _set_path(config, attr, None if unset else parser(value))
         except ConfigError as e:

@@ -7,7 +7,6 @@ flows through the seeded splitmix64 streams, so identical inputs reproduce
 identical bytes everywhere. Splits stay uint8; batches are index arrays.
 """
 
-import math
 from dataclasses import dataclass
 from itertools import takewhile
 from pathlib import Path
@@ -314,10 +313,15 @@ def read_key_values(lines, path, error: type) -> dict[str, tuple[str, int]]:
     return found
 
 
+def fmt_float(x: float) -> str:
+    """The 9-significant-digit text of a float that every written artifact and config echo uses."""
+    return f"{x:.9g}"
+
+
 def save_manifest(manifest: DatasetManifest) -> None:
     lines = [
         f"image_size = {manifest.image_size}",
-        f"ratios = {manifest.ratios[0]:.9g},{manifest.ratios[1]:.9g},{manifest.ratios[2]:.9g}",
+        f"ratios = {','.join(fmt_float(r) for r in manifest.ratios)}",
         f"seed = {manifest.seed}",
         "",
     ]
@@ -351,11 +355,11 @@ def load_manifest(root) -> DatasetManifest:
     try:
         image_size = int(header["image_size"])
         seed = int(header["seed"])
-        ratios = tuple(float(x) for x in header["ratios"].split(","))
+        ratios = check_ratios(header["ratios"].split(","))
+    except ConfigError as e:  # the file is at fault, not the config
+        raise DataError(f"{path}: ratios must be three numbers, non-negative and summing to 1, got {header['ratios']!r}") from e
     except (KeyError, ValueError) as e:
         raise DataError(f"{path}: bad or missing header field ({e})") from e
-    if len(ratios) != 3 or not all(math.isfinite(r) for r in ratios):
-        raise DataError(f"{path}: ratios must be three numbers, got {header['ratios']!r}")
     if image_size < 1:
         raise DataError(f"{path}: image_size must be >= 1, got {image_size}")
     return DatasetManifest(Path(root), image_size, ratios, seed, entries)

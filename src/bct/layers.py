@@ -67,6 +67,16 @@ def _out_shape(what: str, h: int, w: int, k: int, s: int, p: int) -> tuple[int, 
     return (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
 
 
+class Layer:
+    """A layer of a Model: layer(x) runs forward(x), and params() is {} unless the layer has parameters."""
+
+    def params(self) -> dict:
+        return {}
+
+    def __call__(self, x: Tensor) -> Tensor:
+        return self.forward(x)
+
+
 def _im2col(xp: np.ndarray, win: list, buf: np.ndarray) -> np.ndarray:
     """The im2col columns of a channel-major map xp (C, N, H, W), written into the front of buf.
 
@@ -80,7 +90,7 @@ def _im2col(xp: np.ndarray, win: list, buf: np.ndarray) -> np.ndarray:
     return cols.reshape(c * len(win), n, ho * wo)
 
 
-class Conv2d:
+class Conv2d(Layer):
     """2-D cross-correlation with optional zero padding.
 
     weight shape (out_channels, in_channels, kh, kw), bias shape (out_channels,).
@@ -167,10 +177,8 @@ class Conv2d:
 
         return Tensor.from_op(out.reshape(n, oc, ho, wo), (x, weight, bias), backward)
 
-    __call__ = forward
 
-
-class MaxPool2d:
+class MaxPool2d(Layer):
     """Window max pooling; ties give the gradient to the lowest flat index.
 
     In the builders it pools the conv's pre-activations, not the activations.
@@ -192,9 +200,6 @@ class MaxPool2d:
         self.stride = window if stride is None else stride
         if self.stride < 1:
             raise ValueError("pool: stride must be >= 1")
-
-    def params(self):
-        return {}
 
     def out_shape(self, h: int, w: int) -> tuple[int, int]:
         return _out_shape("pool", h, w, self.window, self.stride, 0)
@@ -225,14 +230,9 @@ class MaxPool2d:
 
         return Tensor.from_op(out, (x,), backward)
 
-    __call__ = forward
 
-
-class Flatten:
+class Flatten(Layer):
     """(N, C, H, W) -> (N, C*H*W), row-major."""
-
-    def params(self):
-        return {}
 
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim < 2:
@@ -240,10 +240,8 @@ class Flatten:
         n = x.shape[0]
         return x.reshape(n, x.size // n)
 
-    __call__ = forward
 
-
-class Dense:
+class Dense(Layer):
     """Affine map y = x W^T + b with weight shape (out_features, in_features)."""
 
     def __init__(
@@ -280,8 +278,6 @@ class Dense:
             bias.accumulate_grad(g.sum(axis=0))
 
         return Tensor.from_op(out, (x, weight, bias), backward)
-
-    __call__ = forward
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -328,7 +324,7 @@ def softmax(x: Tensor) -> Tensor:
 _ACTIVATIONS = {"sigmoid": sigmoid, "relu": relu, "softmax": softmax}
 
 
-class Activation:
+class Activation(Layer):
     """Named nonlinearity layer; kind is one of sigmoid / relu / softmax."""
 
     def __init__(self, kind: str):
@@ -337,13 +333,8 @@ class Activation:
         self.kind = kind
         self._fn = _ACTIVATIONS[kind]
 
-    def params(self):
-        return {}
-
     def forward(self, x: Tensor) -> Tensor:
         return self._fn(x)
-
-    __call__ = forward
 
 
 class Model:

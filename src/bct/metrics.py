@@ -21,6 +21,10 @@ class ConfusionCounts:
     def total(self) -> int:
         return self.tp + self.tn + self.fp + self.fn
 
+    @property
+    def accuracy(self) -> float:
+        return (self.tp + self.tn) / self.total
+
 
 @dataclass
 class MetricReport:
@@ -66,28 +70,21 @@ def compute_metrics(counts: ConfusionCounts, epochs_to_converge: int | None = No
         raise ValueError("metrics need at least one counted sample")
     degenerate = []
 
-    if counts.tp + counts.fn > 0:
-        recall = counts.tp / (counts.tp + counts.fn)
-    else:
-        recall = 0.0
-        degenerate.append("recall")
-    if counts.tp + counts.fp > 0:
-        precision = counts.tp / (counts.tp + counts.fp)
-    else:
-        precision = 0.0
-        degenerate.append("precision")
-    if precision + recall > 0:
-        f1 = 2.0 * precision * recall / (precision + recall)
-    else:
-        f1 = 0.0
-        degenerate.append("f1")
-    accuracy = (counts.tp + counts.tn) / counts.total
+    def ratio(name: str, num, den) -> float:
+        if den > 0:
+            return num / den
+        degenerate.append(name)
+        return 0.0
+
+    recall = ratio("recall", counts.tp, counts.tp + counts.fn)
+    precision = ratio("precision", counts.tp, counts.tp + counts.fp)
+    f1 = ratio("f1", 2.0 * precision * recall, precision + recall)
 
     return MetricReport(
         recall=recall,
         precision=precision,
         f1=f1,
-        accuracy=accuracy,
+        accuracy=counts.accuracy,
         epochs_to_converge=epochs_to_converge,
         degenerate=tuple(degenerate),
     )

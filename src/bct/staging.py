@@ -121,8 +121,7 @@ def pretrain_source(config, out_path) -> Path:
     if config.paradigm != "baseline":
         raise ConfigError("pretraining runs the baseline paradigm")
     log = trainer.train(config)
-    state = log.best_state if log.best_state is not None else log.final_state
-    backbone = {n: a for n, a in state.items() if n.startswith("backbone.")}
+    backbone = {n: a for n, a in log.best_or_final_state().items() if n.startswith("backbone.")}
     if not backbone:
         raise ConfigError("model has no backbone.* parameters to export")
     save_checkpoint(backbone, out_path)

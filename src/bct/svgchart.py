@@ -11,10 +11,14 @@ import math
 # line colors cycle through this palette in series order
 PALETTE = ("#1f6feb", "#d1242f", "#1a7f37", "#9a6700", "#8250df", "#bf3989")
 
+_WIDTH = 720
+_HEIGHT = 440
 _MARGIN_L = 64
 _MARGIN_R = 16
 _MARGIN_T = 40
 _MARGIN_B = 44
+_TICKS = 5  # per axis, both ends included
+_QUOT = {'"': "&quot;"}  # the entity escape() adds to its &amp;, &lt; and &gt;
 
 
 def _f(x: float) -> str:
@@ -32,17 +36,19 @@ def _finite_points(xs, ys):
             if math.isfinite(x) and math.isfinite(y)]
 
 
-def _ticks(lo: float, hi: float, n: int = 5):
+def _ticks(lo: float, hi: float):
     if lo == hi:  # degenerate span: center a unit range on the value
         lo, hi = lo - 0.5, hi + 0.5
     if not math.isfinite(hi - lo):
         raise ValueError(f"cannot scale {lo:g} to {hi:g}: the span overflows a float")
-    return lo, hi, [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+    return lo, hi, [lo + (hi - lo) * i / (_TICKS - 1) for i in range(_TICKS)]
 
 
-def line_chart(series, title: str = "", x_label: str = "", y_label: str = "",
-               width: int = 720, height: int = 440) -> str:
+def line_chart(series, title: str = "", x_label: str = "", y_label: str = "") -> str:
     """Render [(name, xs, ys), ...] to a self-contained SVG string."""
+    # imported here: xml.sax.saxutils loads urllib.request and ssl, about 7 MiB that a process which never plots should not hold
+    from xml.sax.saxutils import escape
+
     cleaned = [(name, _finite_points(xs, ys)) for name, xs, ys in series]
     cleaned = [(name, pts) for name, pts in cleaned if pts]
     if not cleaned:
@@ -53,8 +59,8 @@ def line_chart(series, title: str = "", x_label: str = "", y_label: str = "",
     x_lo, x_hi, x_ticks = _ticks(min(all_x), max(all_x))
     y_lo, y_hi, y_ticks = _ticks(min(all_y), max(all_y))
 
-    plot_w = width - _MARGIN_L - _MARGIN_R
-    plot_h = height - _MARGIN_T - _MARGIN_B
+    plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
+    plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
     def px(x: float) -> float:
         return _MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
@@ -63,14 +69,14 @@ def line_chart(series, title: str = "", x_label: str = "", y_label: str = "",
         return _MARGIN_T + plot_h - (y - y_lo) / (y_hi - y_lo) * plot_h
 
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="12">',
-        f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}" font-family="sans-serif" font-size="12">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
     ]
     if title:
         out.append(
-            f'<text x="{_f(width / 2)}" y="22" text-anchor="middle" '
-            f'font-size="15" fill="#24292f">{_escape(title)}</text>'
+            f'<text x="{_f(_WIDTH / 2)}" y="22" text-anchor="middle" '
+            f'font-size="15" fill="#24292f">{escape(title, _QUOT)}</text>'
         )
 
     for t in x_ticks:
@@ -93,12 +99,12 @@ def line_chart(series, title: str = "", x_label: str = "", y_label: str = "",
                f'x2="{_MARGIN_L + plot_w}" y2="{_MARGIN_T + plot_h}" '
                f'stroke="#24292f" stroke-width="1.5"/>')
     if x_label:
-        out.append(f'<text x="{_f(_MARGIN_L + plot_w / 2)}" y="{height - 10}" '
-                   f'text-anchor="middle" fill="#24292f">{_escape(x_label)}</text>')
+        out.append(f'<text x="{_f(_MARGIN_L + plot_w / 2)}" y="{_HEIGHT - 10}" '
+                   f'text-anchor="middle" fill="#24292f">{escape(x_label, _QUOT)}</text>')
     if y_label:
         cx, cy = 16, _MARGIN_T + plot_h / 2
         out.append(f'<text x="{cx}" y="{_f(cy)}" text-anchor="middle" '
-                   f'transform="rotate(-90 {cx} {_f(cy)})" fill="#24292f">{_escape(y_label)}</text>')
+                   f'transform="rotate(-90 {cx} {_f(cy)})" fill="#24292f">{escape(y_label, _QUOT)}</text>')
 
     for i, (name, pts) in enumerate(cleaned):
         color = PALETTE[i % len(PALETTE)]
@@ -116,17 +122,7 @@ def line_chart(series, title: str = "", x_label: str = "", y_label: str = "",
         lx = _MARGIN_L + plot_w - 150
         out.append(f'<line x1="{lx}" y1="{ly}" x2="{lx + 22}" y2="{ly}" '
                    f'stroke="{color}" stroke-width="2"/>')
-        out.append(f'<text x="{lx + 28}" y="{ly + 4}" fill="#24292f">{_escape(name)}</text>')
+        out.append(f'<text x="{lx + 28}" y="{ly + 4}" fill="#24292f">{escape(name, _QUOT)}</text>')
 
     out.append("</svg>")
     return "\n".join(out) + "\n"
-
-
-def _escape(text: str) -> str:
-    return (
-        str(text)
-        .replace("&", "&amp;")
-        .replace("<", "&lt;")
-        .replace(">", "&gt;")
-        .replace('"', "&quot;")
-    )

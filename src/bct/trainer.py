@@ -16,6 +16,7 @@ import ctypes
 import functools
 import json
 import math
+import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
@@ -26,7 +27,7 @@ import numpy as np
 from . import config as config_mod
 from .checkpoint import load_subset, save_checkpoint
 from .config import TrainConfig
-from .data import load_split, make_batches, stack_batch
+from .data import fmt_float, load_split, make_batches, stack_batch
 from .errors import ConfigError, DataError, NumericError, write_output
 from .layers import Model, build_backbone, build_cnn
 from .losses import make_loss
@@ -68,12 +69,19 @@ class RunLog:
     final_state: dict | None = None
     best_state: dict | None = None
 
+    @property
+    def epochs_total(self) -> int:
+        return sum(self.per_stage_epochs)
+
     def epochs_label(self) -> str:
         """Cumulative epoch count with the per-stage breakdown, e.g. "69 (23 + 46)"."""
-        total = sum(self.per_stage_epochs)
         if len(self.per_stage_epochs) <= 1:
-            return str(total)
-        return f"{total} ({' + '.join(str(e) for e in self.per_stage_epochs)})"
+            return str(self.epochs_total)
+        return f"{self.epochs_total} ({' + '.join(str(e) for e in self.per_stage_epochs)})"
+
+    def best_or_final_state(self) -> dict | None:
+        """The best-val parameters, else the final ones: what best.bct1 holds and the test metrics score."""
+        return self.final_state if self.best_state is None else self.best_state
 
 
 def check_convergence(train_acc: float, train_loss: float, acc_threshold: float, loss_threshold: float) -> bool:
@@ -142,8 +150,8 @@ def eval_split(model: Model, samples, loss_fn=None, batch_size: int = 64):
     return mean_loss, counts
 
 
-def evaluate(model: Model, samples, batch_size: int = 64) -> tuple[ConfusionCounts, MetricReport]:
-    _, counts = eval_split(model, samples, loss_fn=None, batch_size=batch_size)
+def evaluate(model: Model, samples) -> tuple[ConfusionCounts, MetricReport]:
+    _, counts = eval_split(model, samples)
     return counts, compute_metrics(counts)
 
 
@@ -228,10 +236,9 @@ def train(config: TrainConfig, progress=None) -> RunLog:
             val_counts = eval_split(model, val_samples)[1] if val_samples else None
         except NumericError as e:
             raise NumericError(f"epoch {epoch}: {e}") from e
-        train_acc = (train_counts.tp + train_counts.tn) / train_counts.total
         if not math.isfinite(train_loss):
             raise NumericError(f"non-finite train loss {train_loss} at epoch {epoch}")
-        val_acc = (val_counts.tp + val_counts.tn) / val_counts.total if val_samples else float("nan")
+        train_acc, val_acc = train_counts.accuracy, val_counts.accuracy if val_samples else float("nan")
         record = EpochRecord(epoch, driver.stage_number, train_loss, train_acc, val_acc)
         log.records.append(record)
         log.wall_seconds.append(time.perf_counter() - started)
@@ -250,13 +257,11 @@ def train(config: TrainConfig, progress=None) -> RunLog:
 
     log.per_stage_epochs = list(driver.per_stage_epochs)
     log.converged = driver.exit_reason == "converged"
-    log.epochs_to_converge = sum(log.per_stage_epochs) if log.converged else None
+    log.epochs_to_converge = log.epochs_total if log.converged else None
     log.final_state = model.state()
 
     if test_samples:
-        # test metrics come from the best-val params when a val split exists
-        if log.best_state is not None:
-            model.load_state(log.best_state)
+        model.load_state(log.best_or_final_state())
         counts, report = evaluate(model, test_samples)
         report.epochs_to_converge = log.epochs_to_converge
         log.test_counts, log.test_report = counts, report
@@ -270,14 +275,10 @@ def train(config: TrainConfig, progress=None) -> RunLog:
 # ------------------------------------------------------------- run artifacts
 
 
-def _g9(x: float) -> str:
-    return f"{x:.9g}"
-
-
 def runlog_csv(log: RunLog) -> str:
     lines = ["epoch,stage,train_loss,train_acc,val_acc"]
     lines += [
-        f"{r.epoch},{r.stage},{_g9(r.train_loss)},{_g9(r.train_acc)},{_g9(r.val_acc)}"
+        f"{r.epoch},{r.stage},{fmt_float(r.train_loss)},{fmt_float(r.train_acc)},{fmt_float(r.val_acc)}"
         for r in log.records
     ]
     return "\n".join(lines) + "\n"
@@ -292,7 +293,7 @@ def walltime_csv(log: RunLog) -> str:
 def result_dict(log: RunLog) -> dict:
     return {
         "converged": log.converged,
-        "epochs_total": sum(log.per_stage_epochs),
+        "epochs_total": log.epochs_total,
         "epochs_to_converge": log.epochs_to_converge,
         "epochs_label": log.epochs_label(),
         "per_stage_epochs": log.per_stage_epochs,
@@ -314,9 +315,7 @@ def write_outputs(log: RunLog, config: TrainConfig) -> Path:
     manifest_lines = [f"{k} = {echo[k]}" for k in sorted(echo) if k != "train.out_dir"]
     write_output(out / "manifest.txt", "\n".join(manifest_lines) + "\n", ConfigError)
     save_checkpoint(log.final_state, out / "final.bct1")
-    save_checkpoint(
-        log.best_state if log.best_state is not None else log.final_state, out / "best.bct1"
-    )
+    save_checkpoint(log.best_or_final_state(), out / "best.bct1")
     # last, so a result.json marks a complete run directory
     write_output(out / "result.json", json.dumps(result_dict(log), indent=2, sort_keys=True) + "\n", ConfigError)
     return out
@@ -341,7 +340,7 @@ class AblationTable:
             epochs = "-" if r["median_epochs"] is None else str(r["median_epochs"])
             lines.append(
                 f"| {r['arm']} | {r['n_converged']}/{r['n_runs']} | {epochs} "
-                f"| {_g9(r['median_test_acc'])} | {_g9(r['median_f1'])} |"
+                f"| {fmt_float(r['median_test_acc'])} | {fmt_float(r['median_f1'])} |"
             )
         return "\n".join(lines) + "\n"
 
@@ -351,7 +350,7 @@ class AblationTable:
             epochs = "" if r["median_epochs"] is None else str(r["median_epochs"])
             lines.append(
                 f"{r['arm']},{r['n_converged']},{r['n_runs']},{epochs},"
-                f"{_g9(r['median_test_acc'])},{_g9(r['median_f1'])}"
+                f"{fmt_float(r['median_test_acc'])},{fmt_float(r['median_f1'])}"
             )
         return "\n".join(lines) + "\n"
 
@@ -360,8 +359,7 @@ class AblationTable:
 
 
 def _median(values):
-    s = sorted(values)
-    return s[len(s) // 2] if s else float("nan")
+    return statistics.median_high(values) if values else float("nan")
 
 
 def _arm_row(arm: str, runs: list) -> dict:
@@ -397,19 +395,12 @@ def _suite_arms(suite: str, base: TrainConfig, pretrain_path: str | None) -> lis
 
 
 def _run_summary(arm: str, seed: int, log: RunLog) -> dict:
-    report = log.test_report
-    return {
-        "arm": arm,
-        "seed": seed,
-        "converged": log.converged,
-        "epochs_to_converge": log.epochs_to_converge,
-        "epochs_total": sum(log.per_stage_epochs),
-        "per_stage_epochs": log.per_stage_epochs,
-        "test_acc": None if report is None else report.accuracy,
-        "f1": None if report is None else report.f1,
-        "recall": None if report is None else report.recall,
-        "precision": None if report is None else report.precision,
-    }
+    """The runs.jsonl record of one run, copied from its result.json; the test metrics are None without a test split."""
+    result = result_dict(log)
+    metrics = result["test"]["metrics"] if result["test"] else {}
+    return {"arm": arm, "seed": seed, "test_acc": metrics.get("accuracy"),
+            **{key: result[key] for key in ("converged", "epochs_to_converge", "epochs_total", "per_stage_epochs")},
+            **{key: metrics.get(key) for key in ("f1", "recall", "precision")}}
 
 
 def _run_one(job) -> dict:

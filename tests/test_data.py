@@ -229,9 +229,11 @@ class TestSplits:
             ("ratios = 0.5,0.5", "three numbers"),
             ("ratios = 0.5,0.25,0.25,0", "three numbers"),
             ("ratios = nan,0.5,0.5", "three numbers"),
+            ("ratios = 0.5,0.5,0.5", "three numbers"),
+            ("ratios = -1,1,1", "three numbers"),
             ("image_size = 0", "image_size must be >= 1"),
         ],
-        ids=["one_ratio", "two_ratios", "four_ratios", "nan_ratio", "image_size_0"],
+        ids=["one_ratio", "two_ratios", "four_ratios", "nan_ratio", "sum_ratio", "negative_ratio", "image_size_0"],
     )
     def test_manifest_header_values_are_checked(self, tmp_path, header, match):
         synth_generate(tmp_path, n_per_class=2, seed=0, image_size=8)

@@ -38,8 +38,8 @@ def test_a_runs_manifest_reproduces_the_run(tmp_path, monkeypatch):
         assert (tmp_path / "run1" / name).read_bytes() == (tmp_path / "run2" / name).read_bytes(), name
 
 
-@pytest.mark.parametrize("ratios", [(0.5, 0.5, 0.2), (1.2, -0.1, -0.1), (math.nan, 0.5, 0.5), (math.inf, 0.0, 0.0)],
-                         ids=["sum", "negative", "nan", "inf"])
+@pytest.mark.parametrize("ratios", [(0.5, 0.5, 0.2), (1.2, -0.1, -0.1), (math.nan, 0.5, 0.5), (math.inf, 0.0, 0.0), (0.5, 0.5)],
+                         ids=["sum", "negative", "nan", "inf", "count"])
 def test_one_split_ratio_rule(tmp_path, ratios):
     messages = []
     for check in (lambda: scan_dataset(tmp_path, ratios=ratios),

@@ -275,3 +275,18 @@ def test_only_errors_py_reads_or_writes_files():
                 if getattr(func, "id", None) == "open" or getattr(func, "attr", None) == "open":
                     found.append(f"{source.name}:{node.lineno}: open()")
     assert not found, found
+
+
+def test_no_module_has_an_unused_top_level_import():
+    """Every name a top-level import binds is read in its module; __init__.py, whose imports are re-exports, is left out."""
+    unused = []
+    for source in sorted(Path(bct.__file__).parent.glob("*.py")):
+        if source.name == "__init__.py":
+            continue
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+                unused += [f"{source.name}:{node.lineno}: {name}" for name in names if name not in read]
+    assert not unused, unused

@@ -432,6 +432,19 @@ class TestAblation:
         # every run left its own artifact directory
         assert (tmp_path / "abl" / "focal_g1" / "seed_2" / "runlog.csv").is_file()
 
+    def test_runs_jsonl_repeats_each_runs_result_json(self, dataset, tmp_path):
+        run_ablation("loss", small_config(dataset, max_epochs=1), [1, 2], tmp_path / "abl")
+        records = [json.loads(line) for line in (tmp_path / "abl" / "runs.jsonl").read_text().splitlines()]
+        assert len(records) == 8
+        for record in records:
+            result_path = tmp_path / "abl" / record["arm"] / f"seed_{record['seed']}" / "result.json"
+            result = json.loads(result_path.read_text())
+            for key in ("converged", "epochs_to_converge", "epochs_total", "per_stage_epochs"):
+                assert record[key] == result[key], (record["arm"], record["seed"], key)
+            metrics = result["test"]["metrics"]
+            for key, name in (("test_acc", "accuracy"), ("f1", "f1"), ("recall", "recall"), ("precision", "precision")):
+                assert record[key] == metrics[name], (record["arm"], record["seed"], key)
+
     def test_tables_are_deterministic(self, dataset, tmp_path):
         config = small_config(dataset, max_epochs=1)
         run_ablation("optimizer", config, [1], tmp_path / "a")
