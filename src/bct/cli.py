@@ -7,8 +7,6 @@ bad configuration 2, bad data or checkpoint 3, numeric failure 4.
 """
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
@@ -16,12 +14,12 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .checkpoint import load_subset, read_checkpoint
+from .checkpoint import MAGIC, load_subset, read_checkpoint
 from .config import KEYS, _parse_int_list, _reject_unknown, build_config, check_out_dir
-from .data import fmt_float, load_manifest, load_split, read_ppm, synth_generate
+from .data import MANIFEST_NAME, fmt_float, load_manifest, load_split, read_ppm, synth_generate
 from .errors import CheckpointError, ConfigError, DataError, NumericError, read_input, write_output
 from .svgchart import line_chart
-from .trainer import SUITES, build_model, evaluate, run_ablation, train
+from .trainer import SUITES, build_model, evaluate, read_runlog, run_ablation, train
 
 
 def _style(text: str, code: str, stream=None) -> str:
@@ -122,8 +120,6 @@ def cmd_evaluate(args) -> int:
     if out.is_dir() or not out.parent.is_dir():
         raise ConfigError(f"--out {out}: expected a file in an existing directory")
     config = _config_from_args(args)
-    if not config.data_root:
-        raise ConfigError("evaluate needs data.root")
     model = build_model(config)
     load_subset(model, args.checkpoint)
     samples = load_split(config.manifest(), args.split)
@@ -155,50 +151,21 @@ def cmd_ablate(args) -> int:
     return 0
 
 
-def _read_runlog(path: Path) -> list:
-    """The rows of a runlog.csv as raw strings, once every field read from them parses."""
-    reader = csv.DictReader(io.StringIO(read_input(path, DataError, text=True), newline=""))
-    rows = []
-    try:
-        fields = ("epoch", "stage", "train_loss", "train_acc", "val_acc")
-        missing = [f for f in fields if f not in (reader.fieldnames or ())]
-        if missing:
-            raise DataError(f"{path}:1: no column {', '.join(missing)}")
-        for row in reader:
-            try:
-                if None in row or None in row.values():
-                    raise ValueError(f"expected {len(reader.fieldnames)} fields")
-                int(row["epoch"]), int(row["stage"])
-                train_acc, val_acc = float(row["train_acc"]), float(row["val_acc"])
-                if not all(math.isfinite(float(row[f])) for f in ("train_loss", "train_acc")):
-                    raise ValueError("train_loss and train_acc must be finite")
-                if not (0 <= train_acc <= 1 and (0 <= val_acc <= 1 or math.isnan(val_acc))):
-                    raise ValueError("train_acc must lie in [0, 1], and val_acc in [0, 1] or be nan")
-            except ValueError as e:
-                raise DataError(f"{path}:{reader.line_num}: {e}") from e
-            rows.append(row)
-    except csv.Error as e:
-        raise DataError(f"{path}: not a CSV file ({e})") from e
-    if not rows:
-        raise DataError(f"{path}: no epochs recorded")
-    return rows
-
-
 def cmd_plot(args) -> int:
     if args.out:
         check_out_dir(args.out, "--out")
     run = Path(args.run)
-    rows = _read_runlog(run / "runlog.csv")
-    epochs = [float(r["epoch"]) for r in rows]
+    records = read_runlog(run / "runlog.csv")
+    epochs = [float(r.epoch) for r in records]
     try:
         loss_svg = line_chart(
-            [("train loss", epochs, [float(r["train_loss"]) for r in rows])],
+            [("train loss", epochs, [r.train_loss for r in records])],
             title="training loss", x_label="epoch", y_label="loss",
         )
         acc_svg = line_chart(
             [
-                ("train acc", epochs, [float(r["train_acc"]) for r in rows]),
-                ("val acc", epochs, [float(r["val_acc"]) for r in rows]),
+                ("train acc", epochs, [r.train_acc for r in records]),
+                ("val acc", epochs, [r.val_acc for r in records]),
             ],
             title="accuracy", x_label="epoch", y_label="accuracy",
         )
@@ -229,15 +196,15 @@ def _inspect_manifest(path: Path) -> None:
 
 
 def _inspect_runlog(path: Path) -> None:
-    rows = _read_runlog(path)
-    stages = sorted({int(r["stage"]) for r in rows})
-    last = rows[-1]
-    print(_style(f"{path}: training log, {len(rows)} epochs, stages {stages}", "1"))
-    print(f"  final: loss {last['train_loss']}  acc {last['train_acc']}  val {last['val_acc']}")
-    vals = [(v, i) for i, r in enumerate(rows) if not math.isnan(v := float(r["val_acc"]))]
-    if vals:
-        best, idx = max(vals, key=lambda t: (t[0], -t[1]))
-        print(f"  best val acc {fmt_float(best)} at epoch {rows[idx]['epoch']}")
+    records = read_runlog(path)
+    stages = sorted({r.stage for r in records})
+    last = records[-1]
+    print(_style(f"{path}: training log, {len(records)} epochs, stages {stages}", "1"))
+    print(f"  final: loss {fmt_float(last.train_loss)}  acc {fmt_float(last.train_acc)}  val {fmt_float(last.val_acc)}")
+    scored = [r for r in records if not math.isnan(r.val_acc)]
+    if scored:
+        best = max(scored, key=lambda r: r.val_acc)  # max keeps the earliest of equal values
+        print(f"  best val acc {fmt_float(best.val_acc)} at epoch {best.epoch}")
 
 
 def _inspect_ppm(path: Path) -> None:
@@ -249,11 +216,11 @@ def _inspect_ppm(path: Path) -> None:
 def cmd_inspect(args) -> int:
     path = Path(args.path)
     magic = read_input(path, DataError)[:4]
-    if magic == b"BCT1":
+    if magic == MAGIC:
         _inspect_checkpoint(path)
     elif magic[:2] == b"P6":
         _inspect_ppm(path)
-    elif path.name == "split_manifest.tsv":
+    elif path.name == MANIFEST_NAME:
         _inspect_manifest(path)
     elif path.suffix == ".csv" and path.name.startswith("runlog"):
         _inspect_runlog(path)

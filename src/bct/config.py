@@ -64,10 +64,8 @@ class TrainConfig:
     seed: int = 0
     out_dir: str | None = None
 
-    def validate(self, pretrain_pending: bool = False) -> None:
-        """Reject bad values before any work starts. pretrain_pending skips the
-        check that paradigm.pretrain_checkpoint exists, for a suite arm whose
-        checkpoint an earlier job of the suite writes."""
+    def validate(self) -> None:
+        """Reject bad values before any work starts; reading paradigm.pretrain_checkpoint checks that it exists."""
         self.model.validate()
         self.loss.validate()
         self.optim.validate()
@@ -78,8 +76,6 @@ class TrainConfig:
                 raise ConfigError(f"paradigm {self.paradigm} needs model.kind = backbone")
             if not self.pretrain_checkpoint:
                 raise ConfigError(f"paradigm {self.paradigm} needs paradigm.pretrain_checkpoint")
-            if not pretrain_pending and not Path(self.pretrain_checkpoint).is_file():
-                raise ConfigError(f"paradigm.pretrain_checkpoint {self.pretrain_checkpoint} is not a file")
         elif self.pretrain_checkpoint:
             raise ConfigError("paradigm baseline does not take a pretrain checkpoint")
         if self.batch_size < 1:
@@ -101,7 +97,9 @@ class TrainConfig:
 
     def manifest(self, root=None) -> DatasetManifest:
         """The pinned split of root (default data.root) for this config; see ensure_manifest."""
-        return ensure_manifest(root or self.data_root, self.image_size, tuple(self.ratios), self.split_seed(),
+        if not (root := root or self.data_root):
+            raise ConfigError("data.root is required")
+        return ensure_manifest(root, self.image_size, tuple(self.ratios), self.split_seed(),
                                resplit=self.data_seed is not None)
 
 

@@ -7,6 +7,7 @@ flows through the seeded splitmix64 streams, so identical inputs reproduce
 identical bytes everywhere. Splits stay uint8; batches are index arrays.
 """
 
+import re
 from dataclasses import dataclass
 from itertools import takewhile
 from pathlib import Path
@@ -27,6 +28,8 @@ _NOISE_STREAM = 0x40153
 
 
 # ---------------------------------------------------------------- PPM codec
+
+_HEADER_TOKEN = re.compile(rb"(?:\s|#[^\n]*)*(\S*)")  # whitespace and '#' comments, then the next PPM header token
 
 
 def write_ppm(path, pixels: np.ndarray) -> None:
@@ -51,27 +54,13 @@ def read_ppm(path) -> np.ndarray:
     def fail(msg):
         raise DataError(f"{path}: {msg} at byte {pos}")
 
-    def skip_space():
-        nonlocal pos
-        while pos < len(buf):
-            c = buf[pos : pos + 1]
-            if c.isspace():
-                pos += 1
-            elif c == b"#":
-                while pos < len(buf) and buf[pos : pos + 1] != b"\n":
-                    pos += 1
-            else:
-                break
-
     def token(what):
         nonlocal pos
-        skip_space()
-        start = pos
-        while pos < len(buf) and not buf[pos : pos + 1].isspace():
-            pos += 1
-        if pos == start:
+        m = _HEADER_TOKEN.match(buf, pos)
+        pos = m.end()
+        if not m[1]:
             fail(f"missing {what}")
-        return buf[start:pos]
+        return m[1]
 
     if token("magic") != b"P6":
         pos = 0
@@ -257,15 +246,8 @@ def scan_dataset(root, image_size: int = 64, ratios: tuple = (0.8, 0.1, 0.1), se
 
     order = list(range(len(ids)))
     Rng(derive(seed, _SPLIT_STREAM)).shuffle(order)
-    n_train, n_val, n_test = allocate_splits(len(ids), ratios)
-    assignment = {}
-    for rank, idx in enumerate(order):
-        if rank < n_train:
-            assignment[idx] = "train"
-        elif rank < n_train + n_val:
-            assignment[idx] = "val"
-        else:
-            assignment[idx] = "test"
+    names = [name for name, n in zip(SPLITS, allocate_splits(len(ids), ratios)) for _ in range(n)]
+    assignment = dict(zip(order, names))
     entries = [(img_id, label, assignment[i]) for i, (img_id, label) in enumerate(ids)]
     manifest = DatasetManifest(root=root, image_size=image_size, ratios=ratios, seed=seed, entries=entries)
     save_manifest(manifest)

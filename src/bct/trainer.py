@@ -12,14 +12,16 @@ acc_threshold and per-sample mean loss <= loss_threshold.
 """
 
 import contextlib
+import csv
 import ctypes
 import functools
+import io
 import json
 import math
 import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +30,7 @@ from . import config as config_mod
 from .checkpoint import load_subset, save_checkpoint
 from .config import TrainConfig
 from .data import fmt_float, load_split, make_batches, stack_batch
-from .errors import ConfigError, DataError, NumericError, write_output
+from .errors import ConfigError, DataError, NumericError, read_input, write_output
 from .layers import Model, build_backbone, build_cnn
 from .losses import make_loss
 from .metrics import ConfusionCounts, MetricReport, compute_metrics, count_batch
@@ -191,8 +193,9 @@ def train(config: TrainConfig, progress=None) -> RunLog:
     """
     _keep_freed_pages()
     config.validate()
-    if not config.data_root:
-        raise ConfigError("data.root is required for training")
+    model = build_model(config)
+    if config.paradigm != "baseline":  # a missing checkpoint fails before any image is decoded
+        load_subset(model, config.pretrain_checkpoint, "backbone.")
 
     manifest = config.manifest()
     train_samples = load_split(manifest, "train")
@@ -201,9 +204,6 @@ def train(config: TrainConfig, progress=None) -> RunLog:
     if not train_samples:
         raise DataError(f"{config.data_root}: train split is empty")
 
-    model = build_model(config)
-    if config.paradigm != "baseline":
-        load_subset(model, config.pretrain_checkpoint, "backbone.")
     optimizer = Optimizer(model.params, config.optim)
     driver = StagedDriver(model, config.paradigm, optimizer, config.max_epochs)
     loss_fn = make_loss(config.loss)
@@ -265,7 +265,6 @@ def train(config: TrainConfig, progress=None) -> RunLog:
         counts, report = evaluate(model, test_samples)
         report.epochs_to_converge = log.epochs_to_converge
         log.test_counts, log.test_report = counts, report
-        model.load_state(log.final_state)
 
     if config.out_dir:
         write_outputs(log, config)
@@ -274,14 +273,45 @@ def train(config: TrainConfig, progress=None) -> RunLog:
 
 # ------------------------------------------------------------- run artifacts
 
+_RUNLOG_COLUMNS = tuple(f.name for f in fields(EpochRecord))
+
 
 def runlog_csv(log: RunLog) -> str:
-    lines = ["epoch,stage,train_loss,train_acc,val_acc"]
+    lines = [",".join(_RUNLOG_COLUMNS)]
     lines += [
         f"{r.epoch},{r.stage},{fmt_float(r.train_loss)},{fmt_float(r.train_acc)},{fmt_float(r.val_acc)}"
         for r in log.records
     ]
     return "\n".join(lines) + "\n"
+
+
+def read_runlog(path) -> list[EpochRecord]:
+    """The records of a runlog.csv; a field that does not parse or lies out of range is a DataError naming path:line."""
+    reader = csv.DictReader(io.StringIO(read_input(path, DataError, text=True), newline=""))
+    records = []
+    try:
+        missing = [c for c in _RUNLOG_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise DataError(f"{path}:1: no column {', '.join(missing)}")
+        for row in reader:
+            try:
+                if None in row or None in row.values():
+                    raise ValueError(f"expected {len(reader.fieldnames)} fields")
+                epoch, stage = int(row["epoch"]), int(row["stage"])
+                train_acc, val_acc = float(row["train_acc"]), float(row["val_acc"])
+                record = EpochRecord(epoch, stage, float(row["train_loss"]), train_acc, val_acc)
+                if not (math.isfinite(record.train_loss) and math.isfinite(train_acc)):
+                    raise ValueError("train_loss and train_acc must be finite")
+                if not (0 <= train_acc <= 1 and (0 <= val_acc <= 1 or math.isnan(val_acc))):
+                    raise ValueError("train_acc must lie in [0, 1], and val_acc in [0, 1] or be nan")
+            except ValueError as e:
+                raise DataError(f"{path}:{reader.line_num}: {e}") from e
+            records.append(record)
+    except csv.Error as e:
+        raise DataError(f"{path}: not a CSV file ({e})") from e
+    if not records:
+        raise DataError(f"{path}: no epochs recorded")
+    return records
 
 
 def walltime_csv(log: RunLog) -> str:
@@ -447,9 +477,7 @@ def run_ablation(suite: str, base: TrainConfig, seeds, out_dir, jobs: int = 1) -
             pretrain_jobs.append((pre_cfg, pre_path))
         for arm, cfg in _suite_arms(suite, base, pre_path):
             cfg = replace(cfg, seed=seed, out_dir=str(out_dir / arm / f"seed_{seed}"))
-            if not cfg.data_root:
-                raise ConfigError("data.root is required for ablation runs")
-            cfg.validate(pretrain_pending=pre_path is not None)
+            cfg.validate()
             run_jobs.append((arm, seed, cfg))
     arm_order = list(dict.fromkeys(arm for arm, _, _ in run_jobs))
 

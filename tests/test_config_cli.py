@@ -7,9 +7,11 @@ from pathlib import Path
 
 import pytest
 
+from bct.checkpoint import save_checkpoint
 from bct.cli import main
-from bct.config import KEYS, TrainConfig, build_config, flatten
+from bct.config import KEYS, ModelConfig, TrainConfig, build_config, flatten
 from bct.errors import ConfigError
+from bct.trainer import build_model, run_ablation, train
 
 
 def write_config(tmp_path, text):
@@ -104,10 +106,16 @@ class TestConfigFiles:
         with pytest.raises(ConfigError, match="is not a directory"):
             build_config(None, [("train.out_dir", str(blocker / sub))])
 
-    def test_missing_pretrain_checkpoint_is_rejected(self, tmp_path):
-        with pytest.raises(ConfigError, match="is not a file"):
-            build_config(None, [("paradigm.kind", "tl"), ("model.kind", "backbone"),
-                                ("paradigm.pretrain_checkpoint", str(tmp_path / "missing.bct1"))])
+    def test_missing_pretrain_checkpoint_is_rejected(self, tmp_path, capsys):
+        # the config only names the checkpoint; train() reads it, and so checks it, before any image
+        missing = str(tmp_path / "missing.bct1")
+        keys = [("paradigm.kind", "tl"), ("model.kind", "backbone"), ("paradigm.pretrain_checkpoint", missing)]
+        assert build_config(None, keys).pretrain_checkpoint == missing
+        assert main(["synth", "--out", str(tmp_path / "ds"), "--per-class", "4", "--size", "16", "--cell", "4"]) == 0
+        (tmp_path / "ds" / "split_manifest.tsv").unlink()
+        assert main([*tiny_train(tmp_path), *(f"--{key}={value}" for key, value in keys)]) == 3
+        assert f"checkpoint error: {missing} does not exist" in capsys.readouterr().err
+        assert not (tmp_path / "ds" / "split_manifest.tsv").exists()
 
     def test_flatten_round_trips(self):
         config = build_config(None, [
@@ -502,6 +510,20 @@ class TestFailedWrites:
                      "--checkpoint", str(workspace / "run" / "best.bct1"), "--out", str(out)]) == 2
         self.assert_names(capsys, "config error", out)
         assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("entry", ["train", "run_ablation", "evaluate"])
+def test_missing_data_root_has_one_message(tmp_path, capsys, entry):
+    config = TrainConfig(image_size=16, model=ModelConfig(channels=(4, 8), dense_width=8))
+    if entry == "evaluate":
+        save_checkpoint(build_model(config).state(), tmp_path / "model.bct1")
+        assert main(["evaluate", "--checkpoint", str(tmp_path / "model.bct1"), "--out", str(tmp_path / "ev.jsonl"),
+                     "--data.image_size", "16", "--model.channels", "4,8", "--model.dense_width", "8"]) == 2
+        assert capsys.readouterr().err == "config error: data.root is required\n"
+    else:
+        with pytest.raises(ConfigError, match=r"^data\.root is required$"):
+            train(config) if entry == "train" else run_ablation("loss", config, [0], tmp_path / "abl")
+    assert list(tmp_path.iterdir()) == ([tmp_path / "model.bct1"] if entry == "evaluate" else [])
 
 
 class TestInputPaths:

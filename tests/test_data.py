@@ -80,6 +80,23 @@ class TestPpmCodec:
         with pytest.raises(DataError, match="trailing"):
             read_ppm(path)
 
+    @pytest.mark.parametrize("raw, message", [
+        (b"# made by hand\nP6\n1 1\n255\n\x01\x02\x03", None),
+        (b"P6#c 1 1 255\n\x01\x02\x03", "bad magic, expected P6 at byte 0"),
+        (b"P6\n", "missing width at byte 3"),
+        (b"P6 2 x 255\n", "non-numeric height b'x' at byte 6"),
+        (b"P6 2#c 1 255\n", "non-numeric width b'2#c' at byte 6"),
+    ], ids=["comment-before-magic", "comment-glued-to-magic", "width-at-eof", "height-not-a-number", "hash-inside-token"])
+    def test_header_messages_and_offsets(self, tmp_path, raw, message):
+        path = tmp_path / "h.ppm"
+        path.write_bytes(raw)
+        if message is None:
+            assert read_ppm(path).tobytes() == b"\x01\x02\x03"
+            return
+        with pytest.raises(DataError) as e:
+            read_ppm(path)
+        assert str(e.value) == f"{path}: {message}"
+
 
 class TestResize:
     def test_upscale_replicates(self):

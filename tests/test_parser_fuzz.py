@@ -124,16 +124,19 @@ def test_malformed_files_parse_or_raise_the_parsers_error(tmp_path, name, write_
     raw = path.read_bytes()
     parse(path)  # the unmodified file parses
     case_path = tmp_path / "case" / name
-    crashes, rejected = [], 0
+    crashes, rejected, offsetless = [], 0, []
     for label, data in mutants(raw, random.Random(0)):
         case_path.write_bytes(data)
         try:
             parse(case_path)
-        except allowed:
+        except allowed as e:
             rejected += 1
+            if parse is read_ppm and " at byte " not in str(e):  # the README promises the byte offset
+                offsetless.append(f"{label}: {e}")
         except Exception as e:  # noqa: BLE001 - anything else is the finding
             crashes.append(f"{label}: {type(e).__name__}: {e}")
     assert not crashes, f"{len(crashes)} cases escaped {allowed.__name__}, first: {crashes[:3]}"
+    assert not offsetless, f"{len(offsetless)} PPM errors name no byte offset, first: {offsetless[:3]}"
     # binary files reject every truncation; text files parse when cut at a line end,
     # but most of their flips break the UTF-8, a value or a header
     assert rejected >= len(raw)

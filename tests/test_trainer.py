@@ -22,7 +22,7 @@ from bct.layers import Model
 from bct.optim import OptimizerConfig
 from bct.staging import pretrain_source
 from bct.tensor import Tensor
-from bct.trainer import EpochRecord, RunLog, check_convergence, run_ablation, runlog_csv, train
+from bct.trainer import EpochRecord, RunLog, check_convergence, read_runlog, run_ablation, runlog_csv, train
 
 SMALL_MODEL = dict(kind="cnn", channels=(4, 8, 8), dense_width=16)
 
@@ -332,6 +332,13 @@ class TestArtifacts:
         assert runlog_csv(log) == (
             "epoch,stage,train_loss,train_acc,val_acc\n1,1,0.693147181,0.5,0.25\n"
         )
+
+    def test_runlog_round_trips_through_read_runlog(self, tmp_path):
+        records = [EpochRecord(1, 1, 0.6931471805599453, 0.5, float("nan")), EpochRecord(2, 2, 1e-05, 1.0, 0.125)]
+        text = runlog_csv(RunLog(records=records))
+        path = tmp_path / "runlog.csv"
+        path.write_text(text, encoding="utf-8")
+        assert runlog_csv(RunLog(records=read_runlog(path))) == text
 
     def test_epochs_label(self):
         assert RunLog(per_stage_epochs=[3]).epochs_label() == "3"
