@@ -4,9 +4,9 @@ Convolution and pooling register their own backward closures rather than
 composing primitives. Both work on the k*k strided window views of their
 input (one view per kernel offset, always in (ky, kx) order). Conv2d copies
 the views into channel-major im2col columns and contracts them with one
-BLAS GEMM per sample, so an output's bytes do not depend on its batch and
-every forward streams the columns in bounded chunks (see Conv2d); a no-grad
-Model forward runs its conv stack on bounded slices (see Model). MaxPool2d
+BLAS GEMM per sample, so an output's bytes do not depend on its batch. The
+columns' memory is bounded in one place: a no-grad Model forward runs its
+conv stack on slices sized to its largest conv's columns (see Model). MaxPool2d
 reduces the views pairwise with np.maximum and finds the gradient routing
 only when its backward runs. Every scatter-add walks the offsets in the
 same order, so gradients are bit-reproducible.
@@ -27,7 +27,7 @@ import numpy as np
 from .rng import Rng, derive
 from .tensor import ShapeError, Tensor, recording
 
-_COLS_BYTES = 1 << 22  # the im2col columns a conv forward fills at a time
+_COLS_BYTES = 1 << 22  # im2col columns a no-grad Model slice fills, and a recorded conv keeps for dW
 
 
 def glorot_uniform(rng: Rng, shape: tuple, fan_in: int, fan_out: int, dtype) -> np.ndarray:
@@ -77,14 +77,14 @@ class Layer:
         return self.forward(x)
 
 
-def _im2col(xp: np.ndarray, win: list, buf: np.ndarray) -> np.ndarray:
-    """The im2col columns of a channel-major map xp (C, N, H, W), written into the front of buf.
+def _im2col(xp: np.ndarray, win: list) -> np.ndarray:
+    """The im2col columns of a channel-major map xp (C, N, H, W).
 
     Row c * len(win) + i of the (C * len(win), N, ho * wo) result holds window view i of channel c.
     """
     c, n = xp.shape[:2]
     ho, wo = xp[win[0]].shape[2:]
-    cols = buf[: c * len(win) * n * ho * wo].reshape(c, len(win), n, ho, wo)
+    cols = np.empty((c, len(win), n, ho, wo), xp.dtype)
     for i, v in enumerate(win):
         cols[:, i] = xp[v]
     return cols.reshape(c * len(win), n, ho * wo)
@@ -96,15 +96,13 @@ class Conv2d(Layer):
     weight shape (out_channels, in_channels, kh, kw), bias shape (out_channels,).
     Output spatial dims must come out integral: (H + 2p - k) divisible by stride.
 
-    Forward fills and contracts at most _COLS_BYTES of im2col columns at a
-    time (at least one sample's). Each sample is its own GEMM, so the output
-    bytes do not depend on the chunking. The weight gradient is one GEMM
-    over the whole batch's columns, as its bytes depend on that: when the
-    batch fit in one chunk, backward reuses that buffer; otherwise the
-    recorded op keeps only the padded input, and backward rebuilds the
-    columns with the same window copies and frees them after that GEMM.
-    The input gradient runs in the forward's chunks, a sample's GEMM and
-    scatter-adds at a time, so its bytes do not depend on them either.
+    Forward fills the whole input's im2col columns and contracts them in one
+    matmul of one GEMM per sample, so a sample's output bytes do not depend on
+    its batch; the caller bounds the columns (see Model). The weight gradient
+    is one GEMM over the whole batch's columns, as its bytes depend on that:
+    the recorded op keeps them when they fit _COLS_BYTES, otherwise only the
+    padded input, and backward rebuilds them with the same window copies and
+    frees them after that GEMM. The input gradient is one matmul too.
     """
 
     def __init__(
@@ -148,31 +146,25 @@ class Conv2d(Layer):
         xp = np.zeros((c, n, h + 2 * p, w + 2 * p), x.dtype)  # channel-major, zero border
         xp[:, :, p : p + h, p : p + w] = x.data.transpose(1, 0, 2, 3)
         win, ckk = _windows(k, s, ho, wo), c * k * k
-        m = max(1, min(n, _COLS_BYTES // (ckk * ho * wo * xp.itemsize)))  # samples per chunk
-        buf, w2 = np.empty(ckk * m * ho * wo, x.dtype), weight.data.reshape(oc, ckk)
-        out = np.empty((n, oc, ho * wo), np.result_type(w2, xp))  # C order fixes g.sum's order
-        for j in range(0, n, m):
-            cols = _im2col(xp[:, j : j + m], win, buf)
-            np.matmul(w2, cols.transpose(1, 0, 2), out=out[j : j + m])  # one GEMM per sample
+        cols, w2 = _im2col(xp, win), weight.data.reshape(oc, ckk)
+        out = np.matmul(w2, cols.transpose(1, 0, 2))  # one GEMM per sample; C order fixes g.sum's order
         out += bias.data[:, None]
-        saved = buf if m == n else xp  # the whole batch's columns, or what rebuilds them
+        keep = cols.nbytes <= _COLS_BYTES
+        saved = cols if keep else xp  # the columns for dW, or what rebuilds them
 
         def backward(g):
             g2 = g.reshape(n, oc, ho * wo)
             if weight.requires_grad:  # a frozen weight needs neither the columns nor the GEMM
                 gt = g2.transpose(1, 0, 2).reshape(oc, n * ho * wo)
-                cols = saved if m == n else _im2col(saved, win, np.empty(ckk * n * ho * wo, saved.dtype))
+                cols = saved if keep else _im2col(saved, win)
                 weight.accumulate_grad(np.dot(cols.reshape(ckk, -1), gt.T).T.reshape(weight.shape))
                 del cols  # rebuilt columns go before dx allocates
             bias.accumulate_grad(g2.sum(axis=(0, 2)))
             if x.requires_grad:
                 dxp = np.zeros((n, c, h + 2 * p, w + 2 * p), x.dtype)
-                for j in range(0, n, m):
-                    dj = dxp[j : j + m]
-                    dpatches = np.matmul(w2.T, g2[j : j + m]).reshape(-1, c, k * k, ho, wo)
-                    for i, v in enumerate(win):
-                        np.add(dj[v], dpatches[:, :, i], out=dj[v])
-                    del dpatches  # before the next chunk's GEMM allocates
+                dpatches = np.matmul(w2.T, g2).reshape(n, c, k * k, ho, wo)
+                for i, v in enumerate(win):
+                    np.add(dxp[v], dpatches[:, :, i], out=dxp[v])
                 x.accumulate_grad(dxp[:, :, p : p + h, p : p + w])
 
         return Tensor.from_op(out.reshape(n, oc, ho, wo), (x, weight, bias), backward)
@@ -343,9 +335,11 @@ class Model:
     Registry keys are "<layer name>.<param name>" in layer order; iteration
     order is definition order everywhere (init, updates, checkpoints).
 
-    A forward that records nothing runs the layers through the first Flatten on
-    slices of at most _COLS_BYTES // 4 input bytes: their output bytes do not depend
-    on the slicing, but a dense layer's do, so the layers after Flatten see the whole batch.
+    A forward that records nothing runs the layers through the first Flatten on row slices
+    sized so that the largest conv among them fills at most _COLS_BYTES of im2col columns:
+    their output bytes do not depend on the slicing, but a dense layer's do, so the layers
+    after Flatten see the whole batch. A recording forward is never sliced, as its
+    backward rebuilds each conv's whole columns for dW anyway.
     """
 
     def __init__(self, layers: list):
@@ -365,15 +359,22 @@ class Model:
 
     def forward(self, x: Tensor) -> Tensor:
         layers, cut = self.layers, self._cut
-        rows = max(1, _COLS_BYTES // 4 // max(1, x.data.itemsize * math.prod(x.shape[1:])))
-        if cut and x.ndim and x.shape[0] > rows and not recording((x, *self.params.values())):
-            images, parts = x.data, []
-            for j in range(0, len(images), rows):
-                x = Tensor.from_op(images[j : j + rows], (), None)  # x is rebound below, freeing the last slice
-                for _, layer in layers[:cut]:
-                    x = layer(x)
-                parts.append(x.data)
-            x, layers = Tensor.from_op(np.concatenate(parts), (), None), layers[cut:]
+        if cut and x.ndim == 4 and not recording((x, *self.params.values())):
+            (h, w), cols = x.shape[2:], 1  # the largest conv's columns per sample
+            for _, layer in layers[:cut]:
+                if isinstance(layer, (Conv2d, MaxPool2d)):
+                    h, w = layer.out_shape(h, w)
+                if isinstance(layer, Conv2d):
+                    cols = max(cols, layer.in_channels * layer.kernel_size**2 * h * w)
+            rows = max(1, _COLS_BYTES // (cols * x.data.itemsize))
+            if x.shape[0] > rows:  # a batch that fits one slice is one call
+                images, parts = x.data, []
+                for j in range(0, len(images), rows):
+                    x = Tensor.from_op(images[j : j + rows], (), None)  # x is rebound below, freeing the last slice
+                    for _, layer in layers[:cut]:
+                        x = layer(x)
+                    parts.append(x.data)
+                x, layers = Tensor.from_op(np.concatenate(parts), (), None), layers[cut:]
         for _, layer in layers:
             x = layer(x)
         return x

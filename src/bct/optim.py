@@ -93,8 +93,6 @@ class Optimizer:
         data, grads = self._views(self.flat_data), self._views(self.flat_grad)
         for name, p in self.params.items():
             p.data, p.grad_view = data[name], grads[name]
-        self.m = self._views(self.flat_m)
-        self.v = {} if self.flat_v is None else self._views(self.flat_v)
         self.frozen: frozenset[str] = frozenset()
         self.runs = [slice(0, self.flat_data.size)]  # store slices of the trainable params, runs merged
 

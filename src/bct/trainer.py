@@ -113,7 +113,8 @@ def _checked_forward(model: Model, images, where: str):
     """model(images); non-finite scores raise NumericError naming the first layer whose output is not finite.
 
     numpy's overflow and invalid-value warnings are silenced inside, as that error names the layer. Only
-    on that failure path is the batch run again, whole and one layer at a time.
+    on that failure path is the batch run again, whole and one layer at a time: the one no-grad pass
+    that runs bare layers on a whole batch, so its convs fill the whole batch's columns.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         scores = model(images)
@@ -181,9 +182,9 @@ def train(config: TrainConfig, progress=None) -> RunLog:
     Memory: the splits stay uint8, make_batches returns index arrays, and the
     loop stacks each batch's float32 images only when it reaches that batch,
     so no float copy of a whole split and at most one training batch is alive.
-    A step's recorded convs keep their im2col columns only when the batch fits
-    one column chunk (see Conv2d), and backward rebuilds the others' just for
-    the weight gradient. The backward walk releases each node of the step's
+    A step's recorded convs keep their im2col columns only when they fit
+    _COLS_BYTES (see Conv2d), and backward rebuilds the others' just for the
+    weight gradient. The backward walk releases each node of the step's
     graph once its closure has run, so the graph shrinks as the walk goes and
     is gone before the next forward or the train-eval pass allocates; the
     eval passes' no-grad Model.forward bounds what its conv stack holds. On

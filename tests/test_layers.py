@@ -594,43 +594,20 @@ def test_pool_backward_into_an_existing_gradient(dtype, k, stride):
     assert_same_bytes(xt.grad, want)
 
 
-# ---- conv forwards stream their im2col columns ----
+# ---- a conv runs its whole input at once ----
 #
-# Every forward fills and contracts at most _COLS_BYTES of columns at a time,
-# and the input gradient runs in the same chunks. The tests shrink the limit to
-# CHUNK samples' columns, so each batch spans several chunks and ends on a
-# short one, and spy on np.matmul and np.dot to see the chunk sizes the layer
-# really used.
+# A conv fills its whole input's im2col columns and contracts them in one
+# matmul, one GEMM per sample; _COLS_BYTES only decides whether a recorded op
+# keeps the columns for the weight gradient or rebuilds them in backward. The
+# tests spy on np.matmul, np.dot and _im2col to see the calls the layer
+# really made.
 
 CHUNK = 3
 CHUNKED_CONVS = [  # (n, c, oc, size, k, stride, padding)
-    (5, 3, 8, 64, 3, 1, 1),  # desk conv1, chunks 3 + 2
-    (16, 8, 16, 33, 3, 2, 0),  # stride 2, padding 0, chunks 5 * 3 + 1
-    (20, 4, 8, 20, 5, 1, 2),  # 5x5 kernel, chunks 6 * 3 + 2
+    (5, 3, 8, 64, 3, 1, 1),  # desk conv1; 3-sample chunks 3 + 2
+    (16, 8, 16, 33, 3, 2, 0),  # stride 2, padding 0; chunks 5 * 3 + 1
+    (20, 4, 8, 20, 5, 1, 2),  # 5x5 kernel; chunks 6 * 3 + 2
 ]
-
-
-@pytest.fixture
-def chunk_sizes(monkeypatch):
-    """-> (set_limit, sizes, dots): set_limit(samples, ...) shrinks _COLS_BYTES to that
-    many samples' columns of a conv; sizes gets the stack size of each np.matmul
-    (its out's, else its second operand's), and dots each np.dot's first operand shape."""
-    sizes, dots, matmul, dot = [], [], np.matmul, np.dot
-
-    def spy_matmul(a, b, **kw):
-        sizes.append(kw["out"].shape[0] if "out" in kw else b.shape[0])
-        return matmul(a, b, **kw)
-
-    def spy_dot(a, b, *args):
-        dots.append(a.shape)
-        return dot(a, b, *args)
-
-    def set_limit(samples, c, k, ho, wo, dtype):
-        monkeypatch.setattr(bct.layers, "_COLS_BYTES", samples * c * k * k * ho * wo * np.dtype(dtype).itemsize)
-
-    monkeypatch.setattr(np, "matmul", spy_matmul)
-    monkeypatch.setattr(np, "dot", spy_dot)
-    return set_limit, sizes, dots
 
 
 def chunked_conv(rng, dtype, n, c, oc, size, k, stride, padding):
@@ -642,44 +619,45 @@ def chunked_conv(rng, dtype, n, c, oc, size, k, stride, padding):
 
 @pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("n, c, oc, size, k, stride, padding", CHUNKED_CONVS)
-def test_no_grad_conv_chunks_give_the_recorded_bytes(chunk_sizes, dtype, n, c, oc, size, k, stride, padding):
-    set_limit, sizes, _ = chunk_sizes
+def test_no_grad_conv_chunks_give_the_recorded_bytes(dtype, n, c, oc, size, k, stride, padding):
+    # the no-grad Model slices rest on this: a conv's output rows do not
+    # depend on the batch they ran in, recorded, no-grad or frozen
     conv, x = chunked_conv(np.random.default_rng(n), dtype, n, c, oc, size, k, stride, padding)
-    shape = (c, k, *conv.out_shape(size, size), dtype)
-    set_limit(n, *shape)
-    whole = conv(Tensor(x, dtype=dtype))
-    assert sizes == [n]  # the whole batch in one chunk
-    set_limit(CHUNK, *shape)
-    chunks = [CHUNK] * (n // CHUNK) + [n % CHUNK]
-    sizes.clear()
     recorded = conv(Tensor(x, dtype=dtype))
-    assert recorded.requires_grad and sizes == chunks  # the weights require grad: chunked all the same
-    assert_same_bytes(recorded.data, whole.data)
-    sizes.clear()
+    assert recorded.requires_grad  # the weights require grad
     with no_grad():
-        streamed = conv(Tensor(x, dtype=dtype))
-    assert sizes == chunks
-    assert_same_bytes(streamed.data, whole.data)
+        chunks = [conv(Tensor(x[j : j + CHUNK], dtype=dtype)).data for j in range(0, n, CHUNK)]
+    assert_same_bytes(np.concatenate(chunks), recorded.data)
     for t in conv.params().values():
         t.requires_grad = False  # nothing to record, even with grad enabled
-    sizes.clear()
-    frozen = conv(Tensor(x, dtype=dtype))
-    assert not frozen.requires_grad and sizes == chunks
-    assert_same_bytes(frozen.data, whole.data)
+    frozen = [conv(Tensor(x[j : j + CHUNK], dtype=dtype)) for j in range(0, n, CHUNK)]
+    assert not any(t.requires_grad for t in frozen)
+    assert_same_bytes(np.concatenate([t.data for t in frozen]), recorded.data)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("n, c, oc, size, k, stride, padding", CHUNKED_CONVS)
-def test_recorded_conv_keeps_full_columns_under_a_small_limit(chunk_sizes, dtype, n, c, oc, size, k, stride, padding):
-    # forward and dx run in chunks, but the weight gradient is still one GEMM
-    # over the whole batch's columns, which backward rebuilds
-    set_limit, sizes, dots = chunk_sizes
+def test_recorded_conv_keeps_full_columns_under_a_small_limit(monkeypatch, dtype, n, c, oc, size, k, stride, padding):
+    # at any limit, forward builds the columns once and makes one matmul, and
+    # the weight gradient is one dot over the whole batch's columns; under a
+    # small limit backward rebuilds them first. dx is one matmul, then come
+    # the oracle's two
+    calls = []
+
+    def spy(name, fn):
+        def call(*args, **kw):
+            calls.append(args[0].shape if name == "dot" else name)  # dot: the columns' shape
+            return fn(*args, **kw)
+        return call
+
+    for module, name in ((np, "matmul"), (np, "dot"), (bct.layers, "_im2col")):
+        monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
     ho, wo = Conv2d(c, oc, k, stride, padding, rng=Rng(0)).out_shape(size, size)
-    set_limit(CHUNK, c, k, ho, wo, dtype)
-    check_conv(np.random.default_rng(size), dtype, n, c, oc, size, k, stride, padding)
-    chunks = [CHUNK] * (n // CHUNK) + [n % CHUNK]
-    assert sizes == chunks + chunks + [n, n]  # forward, then dx; then the oracle's two
-    assert dots == [(c * k * k, n * ho * wo)]  # dW
+    for limit, rebuilt in ((1, ["_im2col"]), (1 << 40, [])):
+        monkeypatch.setattr(bct.layers, "_COLS_BYTES", limit)
+        calls.clear()
+        check_conv(np.random.default_rng(size), dtype, n, c, oc, size, k, stride, padding)
+        assert calls == ["_im2col", "matmul", *rebuilt, (c * k * k, n * ho * wo), "matmul", "matmul", "matmul"]
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -717,15 +695,15 @@ def test_recorded_conv_holds_no_full_batch_columns():
 
 
 def test_no_grad_conv_peak_memory_stays_below_full_columns():
-    # desk's eval batch at conv1: the whole batch's columns alone are 27 MiB
-    n, c, oc, size = 64, 3, 8, 64
-    conv = Conv2d(c, oc, 3, padding=1, rng=Rng(0))
-    x = Tensor(np.random.default_rng(0).standard_normal((n, c, size, size)).astype(np.float32))
-    full_cols = c * 9 * n * size * size * 4
+    # desk's network and eval batch: the whole batch's conv1 columns alone are
+    # 27 MiB; the no-grad Model runs 9-image slices, so they never all exist
+    model = build_cnn(seed=0)
+    x = Tensor(np.random.default_rng(0).random((64, 3, 64, 64), dtype=np.float32))
+    full_cols = 3 * 9 * 64 * 64 * 64 * 4
     tracemalloc.start()
     try:
         with no_grad():
-            conv(x)
+            model(x)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -773,19 +751,45 @@ def _first_conv_batches(monkeypatch, model) -> list:
     return sizes
 
 
+def whole_batch_forward(model, images):
+    """The model's layers run one by one on the whole batch, no slices."""
+    with no_grad():
+        for _, layer in model.layers:
+            images = layer(images)
+    return images
+
+
 @pytest.mark.parametrize("rows", [21, 5, 1, 64])
 def test_bounded_forward_gives_the_whole_batch_score_bytes(monkeypatch, rows):
-    # desk's network and eval batch; the dense head sees all 64 rows either way
+    # desk's network and eval batch; the limit holds `rows` images' conv1
+    # columns, the largest conv's; the dense head sees all 64 rows either way
     model = build_cnn(seed=1)
     images = Tensor(np.random.default_rng(rows).random((64, 3, 64, 64), dtype=np.float32))
+    whole = whole_batch_forward(model, images)
+    monkeypatch.setattr(bct.layers, "_COLS_BYTES", rows * 3 * 9 * 64 * 64 * 4)
+    sizes = _first_conv_batches(monkeypatch, model)
     with no_grad():
-        whole = images
-        for _, layer in model.layers:
-            whole = layer(whole)
-        monkeypatch.setattr(bct.layers, "_COLS_BYTES", 4 * rows * images.data[0].nbytes)
-        sizes = _first_conv_batches(monkeypatch, model)
         bounded = model(images)
     assert sizes == [min(rows, 64 - j) for j in range(0, 64, rows)]
+    assert bounded.data.tobytes() == whole.data.tobytes()
+
+
+@pytest.mark.parametrize(
+    "size, channels, rows",
+    [
+        (64, (8, 16, 32), 9),  # desk: conv1's 442,368 B of columns per image
+        (32, (2, 4), 37),  # imbalance_suite: conv1's 110,592 B
+        (32, (16, 64), 28),  # conv2's 147,456 B exceed conv1's 110,592 B
+    ],
+)
+def test_no_grad_slices_fit_the_largest_conv_at_the_default_limit(monkeypatch, size, channels, rows):
+    model = build_cnn((3, size, size), channels=channels, seed=2)
+    images = Tensor(np.random.default_rng(size).random((64, 3, size, size), dtype=np.float32))
+    whole = whole_batch_forward(model, images)
+    sizes = _first_conv_batches(monkeypatch, model)
+    with no_grad():
+        bounded = model(images)
+    assert sizes == [rows] * (64 // rows) + [64 % rows]
     assert bounded.data.tobytes() == whole.data.tobytes()
 
 

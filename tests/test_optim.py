@@ -207,7 +207,8 @@ class TestDescentAndState:
             w2.grad = np.array([1.0])
             opt.step()
         assert w2.data[0] == 1.0
-        assert not opt.m["b"].any() and not opt.v["b"].any()
+        span = opt.spans["b"]
+        assert not opt.flat_m[span].any() and not opt.flat_v[span].any()
         assert w1.data[0] != 1.0
 
     def test_unfreeze_resumes_from_preserved_moments(self):
@@ -218,7 +219,7 @@ class TestDescentAndState:
         opt.set_freeze({"a"})
         w.grad = np.array([5.0])
         opt.step()
-        assert w.data[0] == 0.0 and opt.m["a"][0] == 0.0
+        assert w.data[0] == 0.0 and opt.flat_m[opt.spans["a"]][0] == 0.0
         opt.set_freeze(())
         w.grad = np.array([1.0])
         opt.step()
@@ -274,7 +275,7 @@ class TestDescentAndState:
         w.grad = np.array([0.5], dtype=np.float32)
         opt.step()
         assert w.data.dtype == np.float32
-        assert opt.m["w"].dtype == np.float32
+        assert opt.flat_m[opt.spans["w"]].dtype == np.float32
 
 
 # ---- the flat store against the per-tensor loop it replaces
@@ -352,9 +353,10 @@ def test_flat_store_matches_per_tensor_loop_bytes(kind, dtype):
             ref.step(grads)
     for name, p in params.items():
         assert p.data.tobytes() == ref.data[name].tobytes(), name
-        assert opt.m[name].tobytes() == ref.m[name].tobytes(), name
+        span = opt.spans[name]
+        assert opt.flat_m[span].tobytes() == ref.m[name].tobytes(), name
         if kind != "sgd":
-            assert opt.v[name].tobytes() == ref.v[name].tobytes(), name
+            assert opt.flat_v[span].tobytes() == ref.v[name].tobytes(), name
 
 
 def test_registry_tensors_and_moments_are_views_of_the_store():
@@ -364,14 +366,14 @@ def test_registry_tensors_and_moments_are_views_of_the_store():
     for name, p in params.items():
         np.testing.assert_array_equal(p.data, before[name])
         assert p.data.shape == SHAPES[name]
-        for flat, view in ((opt.flat_data, p.data), (opt.flat_grad, p.grad_view),
-                           (opt.flat_m, opt.m[name]), (opt.flat_v, opt.v[name])):
+        for flat, view in ((opt.flat_data, p.data), (opt.flat_grad, p.grad_view)):
             assert np.shares_memory(flat, view)
+    assert opt.flat_m.shape == opt.flat_v.shape == opt.flat_data.shape  # the moments, read through opt.spans
     p = params["dense1.bias"]
     p.accumulate_grad(np.ones(4, np.float32))
     assert p.grad is p.grad_view  # the first write lands in the store
     assert opt.flat_grad[opt.spans["dense1.bias"]].tolist() == [1.0] * 4
-    assert Optimizer(registry(np.random.default_rng(0), np.float32), OptimizerConfig(kind="sgd")).v == {}
+    assert Optimizer(registry(np.random.default_rng(0), np.float32), OptimizerConfig(kind="sgd")).flat_v is None
 
 
 def test_contiguous_trainable_params_form_one_run():
