@@ -4,9 +4,9 @@ Convolution and pooling register their own backward closures rather than
 composing primitives. Both work on the k*k strided window views of their
 input (one view per kernel offset, always in (ky, kx) order). Conv2d copies
 the views into channel-major im2col columns and contracts them with one
-BLAS GEMM per sample, so an output's bytes do not depend on its batch. The
-columns' memory is bounded in one place: a no-grad Model forward runs its
-conv stack on slices sized to its largest conv's columns (see Model). MaxPool2d
+BLAS GEMM per sample, so an output's bytes do not depend on its batch. A
+conv builds columns beyond _COLS_BYTES in _BLOCK_BYTES blocks, and a no-grad
+Model forward runs its convs on slices whose columns fit (see Model). MaxPool2d
 reduces the views pairwise with np.maximum and finds the gradient routing
 only when its backward runs. Every scatter-add walks the offsets in the
 same order, so gradients are bit-reproducible.
@@ -27,7 +27,8 @@ import numpy as np
 from .rng import Rng, derive
 from .tensor import ShapeError, Tensor, recording
 
-_COLS_BYTES = 1 << 22  # im2col columns a no-grad Model slice fills, and a recorded conv keeps for dW
+_COLS_BYTES = 1 << 22  # im2col columns a conv builds in one block and keeps for dW, and a no-grad Model slice fills
+_BLOCK_BYTES = 1 << 20  # im2col columns and dx patches a conv builds at once when its batch's exceed _COLS_BYTES
 
 
 def glorot_uniform(rng: Rng, shape: tuple, fan_in: int, fan_out: int, dtype) -> np.ndarray:
@@ -80,11 +81,12 @@ class Layer:
 def _im2col(xp: np.ndarray, win: list) -> np.ndarray:
     """The im2col columns of a channel-major map xp (C, N, H, W).
 
-    Row c * len(win) + i of the (C * len(win), N, ho * wo) result holds window view i of channel c.
+    Row c * len(win) + i of the (C * len(win), N, ho * wo) result holds window view i of channel c. Each
+    row is stored 16 elements longer than N * ho * wo, so no row stride is a power of two.
     """
     c, n = xp.shape[:2]
     ho, wo = xp[win[0]].shape[2:]
-    cols = np.empty((c, len(win), n, ho, wo), xp.dtype)
+    cols = np.empty((c * len(win), n * ho * wo + 16), xp.dtype)[:, : n * ho * wo].reshape(c, len(win), n, ho, wo)
     for i, v in enumerate(win):
         cols[:, i] = xp[v]
     return cols.reshape(c * len(win), n, ho * wo)
@@ -96,13 +98,13 @@ class Conv2d(Layer):
     weight shape (out_channels, in_channels, kh, kw), bias shape (out_channels,).
     Output spatial dims must come out integral: (H + 2p - k) divisible by stride.
 
-    Forward fills the whole input's im2col columns and contracts them in one
-    matmul of one GEMM per sample, so a sample's output bytes do not depend on
-    its batch; the caller bounds the columns (see Model). The weight gradient
-    is one GEMM over the whole batch's columns, as its bytes depend on that:
-    the recorded op keeps them when they fit _COLS_BYTES, otherwise only the
-    padded input, and backward rebuilds them with the same window copies and
-    frees them after that GEMM. The input gradient is one matmul too.
+    Forward builds the input's im2col columns at once if they fit _COLS_BYTES,
+    else in blocks of _BLOCK_BYTES, and contracts them with one GEMM per
+    sample, so a sample's output bytes do not depend on its batch. The weight
+    gradient is one GEMM over the whole batch's columns, as its bytes depend
+    on that: the recorded op keeps them when they fit, otherwise only the
+    padded input, and backward rebuilds them for that GEMM and frees them
+    after it. The input gradient's patches come in the forward's blocks.
     """
 
     def __init__(
@@ -146,25 +148,32 @@ class Conv2d(Layer):
         xp = np.zeros((c, n, h + 2 * p, w + 2 * p), x.dtype)  # channel-major, zero border
         xp[:, :, p : p + h, p : p + w] = x.data.transpose(1, 0, 2, 3)
         win, ckk = _windows(k, s, ho, wo), c * k * k
-        cols, w2 = _im2col(xp, win), weight.data.reshape(oc, ckk)
-        out = np.matmul(w2, cols.transpose(1, 0, 2))  # one GEMM per sample; C order fixes g.sum's order
+        w2, sample = weight.data.reshape(oc, ckk), ckk * ho * wo * x.data.itemsize  # one sample's columns
+        keep = n * sample <= _COLS_BYTES
+        m = max(1, n if keep else _BLOCK_BYTES // sample)  # samples per block of columns and dx patches
+        out = np.empty((n, oc, ho * wo), x.dtype)  # C order fixes g.sum's order
+        for j in range(0, max(n, 1), m):  # an empty batch still builds its (empty) columns
+            cols = _im2col(xp[:, j : j + m], win)
+            np.matmul(w2, cols.transpose(1, 0, 2), out=out[j : j + m])  # one GEMM per sample
+            saved = cols if keep else xp  # the columns for dW, or what rebuilds them
+            del cols  # a block goes before the next one is built
         out += bias.data[:, None]
-        keep = cols.nbytes <= _COLS_BYTES
-        saved = cols if keep else xp  # the columns for dW, or what rebuilds them
 
         def backward(g):
             g2 = g.reshape(n, oc, ho * wo)
             if weight.requires_grad:  # a frozen weight needs neither the columns nor the GEMM
                 gt = g2.transpose(1, 0, 2).reshape(oc, n * ho * wo)
                 cols = saved if keep else _im2col(saved, win)
-                weight.accumulate_grad(np.dot(cols.reshape(ckk, -1), gt.T).T.reshape(weight.shape))
+                weight.accumulate_grad(np.matmul(cols.reshape(ckk, -1), gt.T).T.reshape(weight.shape))  # np.dot would copy padded rows
                 del cols  # rebuilt columns go before dx allocates
             bias.accumulate_grad(g2.sum(axis=(0, 2)))
             if x.requires_grad:
                 dxp = np.zeros((n, c, h + 2 * p, w + 2 * p), x.dtype)
-                dpatches = np.matmul(w2.T, g2).reshape(n, c, k * k, ho, wo)
-                for i, v in enumerate(win):
-                    np.add(dxp[v], dpatches[:, :, i], out=dxp[v])
+                for j in range(0, n, m):
+                    block, dpatches = dxp[j : j + m], np.matmul(w2.T, g2[j : j + m]).reshape(-1, c, k * k, ho, wo)
+                    for i, v in enumerate(win):
+                        np.add(block[v], dpatches[:, :, i], out=block[v])
+                    del dpatches  # a block goes before the next one is computed
                 x.accumulate_grad(dxp[:, :, p : p + h, p : p + w])
 
         return Tensor.from_op(out.reshape(n, oc, ho, wo), (x, weight, bias), backward)

@@ -24,6 +24,7 @@ Conventions fixed here and relied on throughout the package:
 """
 
 import contextlib
+import math
 
 import numpy as np
 
@@ -201,7 +202,7 @@ class Tensor:
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        new_size = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        new_size = math.prod(map(int, shape))  # python ints: a huge shape must not wrap around
         if new_size != self.size or any(d <= 0 for d in shape):
             raise ShapeError(f"reshape: cannot view {self.shape} as {shape}")
         old_shape = self.shape

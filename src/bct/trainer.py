@@ -114,7 +114,7 @@ def _checked_forward(model: Model, images, where: str):
 
     numpy's overflow and invalid-value warnings are silenced inside, as that error names the layer. Only
     on that failure path is the batch run again, whole and one layer at a time: the one no-grad pass
-    that runs bare layers on a whole batch, so its convs fill the whole batch's columns.
+    that runs bare layers on a whole batch, so its convs build the columns in blocks (see Conv2d).
     """
     with np.errstate(over="ignore", invalid="ignore"):
         scores = model(images)
@@ -182,15 +182,15 @@ def train(config: TrainConfig, progress=None) -> RunLog:
     Memory: the splits stay uint8, make_batches returns index arrays, and the
     loop stacks each batch's float32 images only when it reaches that batch,
     so no float copy of a whole split and at most one training batch is alive.
-    A step's recorded convs keep their im2col columns only when they fit
-    _COLS_BYTES (see Conv2d), and backward rebuilds the others' just for the
-    weight gradient. The backward walk releases each node of the step's
-    graph once its closure has run, so the graph shrinks as the walk goes and
-    is gone before the next forward or the train-eval pass allocates; the
-    eval passes' no-grad Model.forward bounds what its conv stack holds. On
-    glibc the first call also sets the process's malloc thresholds (see
-    _keep_freed_pages) so freed pages stay in the heap for the next step; the
-    process RSS then stays at its high-water mark after train() returns.
+    A recorded conv keeps its im2col columns only when they fit _COLS_BYTES
+    (see Conv2d); others come in blocks, rebuilt whole only for dW. The backward
+    walk releases each node of the step's graph once its closure has run, so
+    the graph shrinks as the walk goes and is gone before the next forward or
+    the train-eval pass allocates; the eval passes' no-grad Model.forward
+    bounds what its conv stack holds. On glibc the first call also sets the
+    process's malloc thresholds (see _keep_freed_pages) so freed pages stay in
+    the heap for the next step; the process RSS then stays at its high-water
+    mark after train() returns.
     """
     _keep_freed_pages()
     config.validate()

@@ -594,13 +594,14 @@ def test_pool_backward_into_an_existing_gradient(dtype, k, stride):
     assert_same_bytes(xt.grad, want)
 
 
-# ---- a conv runs its whole input at once ----
+# ---- a conv builds oversized columns in blocks ----
 #
-# A conv fills its whole input's im2col columns and contracts them in one
-# matmul, one GEMM per sample; _COLS_BYTES only decides whether a recorded op
-# keeps the columns for the weight gradient or rebuilds them in backward. The
-# tests spy on np.matmul, np.dot and _im2col to see the calls the layer
-# really made.
+# A conv whose batch's im2col columns fit _COLS_BYTES builds them at once and
+# contracts them in one matmul, one GEMM per sample; a recorded op keeps them
+# for the weight gradient. Otherwise it builds them, and in backward the input
+# gradient's patches, in blocks of _BLOCK_BYTES, and backward rebuilds the
+# whole batch's columns for the weight gradient's one GEMM. The tests spy on
+# np.matmul and _im2col to see the calls the layer really made.
 
 CHUNK = 3
 CHUNKED_CONVS = [  # (n, c, oc, size, k, stride, padding)
@@ -635,51 +636,81 @@ def test_no_grad_conv_chunks_give_the_recorded_bytes(dtype, n, c, oc, size, k, s
     assert_same_bytes(np.concatenate([t.data for t in frozen]), recorded.data)
 
 
+def sample_columns(dtype, n, c, oc, size, k, stride, padding):
+    """Bytes of one sample's im2col columns."""
+    ho, wo = Conv2d(c, oc, k, stride, padding, rng=Rng(0)).out_shape(size, size)
+    return c * k * k * ho * wo * np.dtype(dtype).itemsize
+
+
 @pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("n, c, oc, size, k, stride, padding", CHUNKED_CONVS)
 def test_recorded_conv_keeps_full_columns_under_a_small_limit(monkeypatch, dtype, n, c, oc, size, k, stride, padding):
-    # at any limit, forward builds the columns once and makes one matmul, and
-    # the weight gradient is one dot over the whole batch's columns; under a
-    # small limit backward rebuilds them first. dx is one matmul, then come
-    # the oracle's two
+    # blocks of one sample: a forward whose columns exceed the limit builds
+    # them and multiplies them sample by sample, and backward rebuilds the
+    # whole batch's for the weight gradient's one matmul, then makes one dx
+    # matmul per sample; under a large limit each is one call. Then come the
+    # oracle's two matmuls
     calls = []
 
     def spy(name, fn):
         def call(*args, **kw):
-            calls.append(args[0].shape if name == "dot" else name)  # dot: the columns' shape
+            calls.append((name, args[0].shape[1] if name == "_im2col" else args[0].shape))  # _im2col: samples
             return fn(*args, **kw)
         return call
 
-    for module, name in ((np, "matmul"), (np, "dot"), (bct.layers, "_im2col")):
+    for module, name in ((np, "matmul"), (bct.layers, "_im2col")):
         monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
     ho, wo = Conv2d(c, oc, k, stride, padding, rng=Rng(0)).out_shape(size, size)
-    for limit, rebuilt in ((1, ["_im2col"]), (1 << 40, [])):
+    ckk = c * k * k
+    fwd, dw, dx = ("matmul", (oc, ckk)), ("matmul", (ckk, n * ho * wo)), ("matmul", (ckk, oc))
+    monkeypatch.setattr(bct.layers, "_BLOCK_BYTES", sample_columns(dtype, n, c, oc, size, k, stride, padding))
+    for limit, want in (
+        (1, [("_im2col", 1), fwd] * n + [("_im2col", n), dw] + [dx] * n),
+        (1 << 40, [("_im2col", n), fwd, dw, dx]),
+    ):
         monkeypatch.setattr(bct.layers, "_COLS_BYTES", limit)
         calls.clear()
         check_conv(np.random.default_rng(size), dtype, n, c, oc, size, k, stride, padding)
-        assert calls == ["_im2col", "matmul", *rebuilt, (c * k * k, n * ho * wo), "matmul", "matmul", "matmul"]
+        assert calls == [*want, fwd, dx]
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("n, c, oc, size, k, stride, padding", CHUNKED_CONVS + [(8, 3, 2, 32, 3, 1, 1), (3, 2, 3, 4, 3, 1, 1)])
 def test_conv_gradients_do_not_depend_on_the_column_limit(monkeypatch, dtype, n, c, oc, size, k, stride, padding):
-    # one sample's columns at a time against the whole batch's, also below the
+    # the weight gradient's columns rebuilt (limit 1) and kept (1 << 40), with
+    # the forward's columns and the dx patches built in blocks of one sample,
+    # of n - 1 (a partial last block) or of the whole batch; also below the
     # GEMM size where the weight gradient's bytes may differ from the oracle's
+    sample = sample_columns(dtype, n, c, oc, size, k, stride, padding)
     results = []
-    for limit in (1, 1 << 40):
-        monkeypatch.setattr(bct.layers, "_COLS_BYTES", limit)
-        conv, x = chunked_conv(np.random.default_rng(n), dtype, n, c, oc, size, k, stride, padding)
-        xt = Tensor(x, requires_grad=True, dtype=dtype)
-        out = conv(xt)
-        out._backward(np.random.default_rng(size).standard_normal(out.shape).astype(dtype))
-        results.append([out.data, xt.grad, conv.weight.grad, conv.bias.grad])
-    for got, want in zip(*results):
-        assert_same_bytes(got, want)
+    for block in (sample, (n - 1) * sample, 1 << 40):
+        for limit in (1, 1 << 40):
+            monkeypatch.setattr(bct.layers, "_BLOCK_BYTES", block)
+            monkeypatch.setattr(bct.layers, "_COLS_BYTES", limit)
+            conv, x = chunked_conv(np.random.default_rng(n), dtype, n, c, oc, size, k, stride, padding)
+            xt = Tensor(x, requires_grad=True, dtype=dtype)
+            out = conv(xt)
+            out._backward(np.random.default_rng(size).standard_normal(out.shape).astype(dtype))
+            results.append([out.data, xt.grad, conv.weight.grad, conv.bias.grad])
+    for other in results[1:]:
+        for got, want in zip(other, results[0]):
+            assert_same_bytes(got, want)
+
+
+@pytest.mark.parametrize("c, size", [(3, 64), (8, 32), (16, 16)])
+def test_im2col_row_stride_is_not_a_multiple_of_a_page(c, size):
+    # desk's training batch at conv1 to conv3 (16 images, 3x3, padding 1): rows
+    # of 16 * size * size floats alone would lie 2**k bytes apart
+    xp = np.zeros((c, 16, size + 2, size + 2), np.float32)
+    cols = bct.layers._im2col(xp, bct.layers._windows(3, 1, size, size))
+    assert cols.shape == (c * 9, 16, size * size)
+    assert cols.strides[0] % 4096 != 0, f"row stride {cols.strides[0]} B"
 
 
 def test_recorded_conv_holds_no_full_batch_columns():
     # desk's training batch at conv1: its columns take 6.75 MiB, above the
-    # 4 MiB limit, so the recorded op keeps only the 0.8 MiB padded input
+    # 4 MiB limit, so the forward builds them in 1 MiB blocks and the
+    # recorded op keeps only the 0.8 MiB padded input
     n, c, oc, size = 16, 3, 8, 64
     conv = Conv2d(c, oc, 3, padding=1, rng=Rng(0))
     x = Tensor(np.random.default_rng(0).standard_normal((n, c, size, size)).astype(np.float32))
@@ -687,11 +718,12 @@ def test_recorded_conv_holds_no_full_batch_columns():
     tracemalloc.start()
     try:
         out = conv(x)
-        held = tracemalloc.get_traced_memory()[0]
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert out.requires_grad
     assert held < full_cols, f"held {held / 2**20:.1f} MiB after the forward"
+    assert peak < full_cols, f"traced peak {peak / 2**20:.1f} MiB during the forward"
 
 
 def test_no_grad_conv_peak_memory_stays_below_full_columns():

@@ -1,3 +1,4 @@
+import warnings
 import weakref
 
 import numpy as np
@@ -80,6 +81,14 @@ class TestForward:
         assert t.reshape(2, 3).shape == (2, 3)
         with pytest.raises(ShapeError):
             t.reshape(4, 2)
+
+    @pytest.mark.parametrize("shape", [(2**62 + 1, 4), (2, 2**63), (np.int64(2**62 + 1), np.int64(4))])
+    def test_reshape_rejects_a_size_that_wraps_in_int64(self, shape):
+        # the first and last sizes wrap to 4 in int64, the second overflows it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ShapeError):
+                Tensor(np.zeros(4)).reshape(shape)
 
     def test_forward_purity(self):
         a = Tensor([1.0, 2.0])

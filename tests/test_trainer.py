@@ -16,10 +16,11 @@ import pytest
 from bct import trainer
 from bct.checkpoint import read_checkpoint
 from bct.config import ModelConfig, TrainConfig
-from bct.data import synth_generate
+from bct.data import Split, stack_batch, synth_generate
 from bct.errors import ConfigError, DataError, NumericError
-from bct.layers import Model
-from bct.optim import OptimizerConfig
+from bct.layers import Model, build_cnn
+from bct.losses import LossSpec, make_loss
+from bct.optim import Optimizer, OptimizerConfig
 from bct.staging import pretrain_source
 from bct.tensor import Tensor
 from bct.trainer import EpochRecord, RunLog, check_convergence, read_runlog, run_ablation, runlog_csv, train
@@ -205,6 +206,34 @@ class TestStepMemory:
         finally:
             tracemalloc.stop()
         assert peak < 24 << 20, f"traced peak {peak / 2**20:.1f} MiB"
+
+    def test_one_recorded_desk_step_stays_under_14_5_mib(self):
+        # desk's network, batch, loss and optimizer, after a warm-up step made
+        # Adam's state: the peak (14.3 MiB) is conv1's one weight-gradient GEMM
+        # over its rebuilt 6.75 MiB of columns, so any other full-batch
+        # transient that lands on it crosses the budget
+        rng = np.random.default_rng(0)
+        pixels, labels = rng.integers(0, 256, (16, 3, 64, 64), dtype=np.uint8), rng.integers(0, 2, 16)
+        split = Split(pixels, labels, np.arange(16).astype(str))
+        model = build_cnn(seed=0)
+        optimizer = Optimizer(model.params, OptimizerConfig(kind="adam"))
+        loss_fn = make_loss(LossSpec(kind="focal", gamma=2.0))
+
+        def step():
+            batch = stack_batch(split)
+            loss = loss_fn(model(batch.images), batch.targets)
+            optimizer.zero_grad()
+            loss.backward()
+            optimizer.step()
+
+        step()
+        tracemalloc.start()
+        try:
+            step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 14.5 * 2**20, f"traced peak {peak / 2**20:.2f} MiB"
 
     def test_allocator_settings_fall_back_silently(self, monkeypatch):
         keep = trainer._keep_freed_pages.__wrapped__  # uncached: each call really runs
