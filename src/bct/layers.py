@@ -105,6 +105,10 @@ class Conv2d(Layer):
     on that: the recorded op keeps them when they fit, otherwise only the
     padded input, and backward rebuilds them for that GEMM and frees them
     after it. The input gradient's patches come in the forward's blocks.
+    Backward takes the bias gradient first; for a trainable weight it makes the
+    one transposed copy of the gradient dW needs and reads dx from a view of it,
+    so the incoming gradient goes before the columns, and what it saved goes as
+    soon as it has them.
     """
 
     def __init__(
@@ -160,17 +164,19 @@ class Conv2d(Layer):
         out += bias.data[:, None]
 
         def backward(g):
-            g2 = g.reshape(n, oc, ho * wo)
+            nonlocal saved
+            g = g.reshape(n, oc, ho * wo)
+            bias.accumulate_grad(g.sum(axis=(0, 2)))
             if weight.requires_grad:  # a frozen weight needs neither the columns nor the GEMM
-                gt = g2.transpose(1, 0, 2).reshape(oc, n * ho * wo)
-                cols = saved if keep else _im2col(saved, win)
+                gt = g.transpose(1, 0, 2).reshape(oc, n * ho * wo)
+                g = gt.reshape(oc, n, ho * wo).transpose(1, 0, 2)  # dx reads gt; the incoming gradient goes
+                cols, saved = (saved if keep else _im2col(saved, win)), None  # the padded input goes now, kept columns after dW
                 weight.accumulate_grad(np.matmul(cols.reshape(ckk, -1), gt.T).T.reshape(weight.shape))  # np.dot would copy padded rows
-                del cols  # rebuilt columns go before dx allocates
-            bias.accumulate_grad(g2.sum(axis=(0, 2)))
+                del cols  # the columns go before dx allocates
             if x.requires_grad:
                 dxp = np.zeros((n, c, h + 2 * p, w + 2 * p), x.dtype)
                 for j in range(0, n, m):
-                    block, dpatches = dxp[j : j + m], np.matmul(w2.T, g2[j : j + m]).reshape(-1, c, k * k, ho, wo)
+                    block, dpatches = dxp[j : j + m], np.matmul(w2.T, g[j : j + m]).reshape(-1, c, k * k, ho, wo)
                     for i, v in enumerate(win):
                         np.add(block[v], dpatches[:, :, i], out=block[v])
                     del dpatches  # a block goes before the next one is computed

@@ -3,12 +3,13 @@
 A Tensor wraps an ndarray plus an optional gradient buffer. Differentiable
 ops build new tensors that remember their parents and a backward closure;
 ``backward()`` on a scalar walks the recorded graph once in reverse
-topological order, accumulating gradients additively so fan-out just works,
-and releases each node as soon as its closure has run: a second
-``backward()`` through any node of that graph raises ValueError, and an
-interior node that the caller does not hold is freed, with its output, its
-gradient and the arrays its closure saved, before the walk reaches the
-nodes below it. The leaves and the root keep their gradients.
+topological order, accumulating gradients additively so fan-out just works.
+It releases each interior node just before calling its closure with the
+node's gradient: a second ``backward()`` through that node raises ValueError,
+and unless the caller holds the node it is freed with its output. From
+CPython 3.11 the call moves the gradient in, so the closure may free it early
+(Conv2d does); below 3.11 it lives until the closure returns. The leaves keep
+their gradients.
 
 The ops: ``+`` and ``*`` (with a tensor or a python scalar), ``**`` (python
 scalar exponent), ``sum`` and ``reshape``; ``argmax`` and ``item`` read values
@@ -119,7 +120,7 @@ class Tensor:
             self.grad += g
 
     def backward(self) -> None:
-        """Reverse pass seeded with d(self)/d(self) = 1. Scalar roots only."""
+        """Reverse pass seeded with d(self)/d(self) = 1 that hands each closure its node's gradient. Scalar roots only."""
         if self.data.size != 1:
             raise ShapeError(f"backward() root must be scalar, got shape {self.shape}")
         if not self.requires_grad:
@@ -127,12 +128,14 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         nodes = topo_order(self)
         while nodes:
-            node = nodes.pop()
-            if node._backward is not None:
-                node._backward(node.grad)
-                # release it now: a second walk through it raises, and what only it
-                # holds (its output, its gradient, its closure's arrays) is freed
-                node._parents, node._backward = (), _spent
+            backward = nodes[-1]._backward
+            if backward is None:  # a leaf: it keeps its gradient and serves the next walk
+                nodes.pop()
+                continue
+            # release the node before its closure runs: a second walk through it raises, and
+            # the walk holds it no longer, so unless the caller does it is freed with its output
+            nodes[-1]._parents, nodes[-1]._backward = (), _spent
+            backward(nodes.pop().grad)  # CPython >= 3.11 moves the gradient into the closure
 
     # ---- binary elementwise ----
 

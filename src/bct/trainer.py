@@ -20,7 +20,6 @@ import json
 import math
 import statistics
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -184,10 +183,11 @@ def train(config: TrainConfig, progress=None) -> RunLog:
     so no float copy of a whole split and at most one training batch is alive.
     A recorded conv keeps its im2col columns only when they fit _COLS_BYTES
     (see Conv2d); others come in blocks, rebuilt whole only for dW. The backward
-    walk releases each node of the step's graph once its closure has run, so
-    the graph shrinks as the walk goes and is gone before the next forward or
-    the train-eval pass allocates; the eval passes' no-grad Model.forward
-    bounds what its conv stack holds. On glibc the first call also sets the
+    walk frees each node of the step's graph, with its output, before its
+    closure runs and hands the closure its gradient (a conv drops it before its
+    columns), so the graph is gone before the next forward or the train-eval
+    pass allocates; the eval passes' no-grad Model.forward bounds what its
+    conv stack holds. On glibc the first call also sets the
     process's malloc thresholds (see _keep_freed_pages) so freed pages stay in
     the heap for the next step; the process RSS then stays at its high-water
     mark after train() returns.
@@ -489,6 +489,8 @@ def run_ablation(suite: str, base: TrainConfig, seeds, out_dir, jobs: int = 1) -
         base.manifest(root)
 
     jobs = min(jobs, len(run_jobs))  # a pool forks all its workers up front
+    if jobs > 1:  # imported only here: the multiprocessing stack adds 1.7 MiB to every process that loads it
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else contextlib.nullcontext() as pool:
         run = map if pool is None else pool.map
         list(run(_pretrain_one, pretrain_jobs))  # every backbone lands before an arm reads it

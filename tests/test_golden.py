@@ -3,8 +3,9 @@
 The session runs through cli.main in a temporary directory, with relative
 paths, so no file holds a machine path: two synth datasets, three train runs
 that cover every loss and every optimizer between them, the paradigm suite
-at --jobs 2, one evaluate line and the two plot SVGs. Only walltime.csv is
-left out. golden/ledger.txt holds one `sha256  relative/path` line per file;
+at --jobs 2, one evaluate line and the two plot SVGs; then a desk-scale
+synth, train and evaluate at 64 px, whose convs and eval batches are large
+enough to take the memory-bounding paths. Only walltime.csv is left out. golden/ledger.txt holds one `sha256  relative/path` line per file;
 golden/env.txt records the numpy and BLAS the ledger was made with.
 
 A change that moves artifacts on purpose rewrites both files with
@@ -45,6 +46,13 @@ SESSION = (
      "--model.kind", "backbone", "--paradigm.source_root", "rings"],
     ["evaluate", "--checkpoint", "runs/ce_sgd/best.bct1", *COMMON, "--out", "evaluate.jsonl"],
     ["plot", "--run", "runs/focal_rectadam"],
+    # desk scale: the recorded convs build their columns in blocks and rebuild them for dW,
+    # and the 38-image train split is one eval batch that the no-grad forward slices
+    ["synth", "--out", "desk", "--per-class", "24", "--size", "64", "--cell", "8", "--seed", "0"],
+    ["train", "--quiet", "--data.root", "desk", "--train.batch_size", "16", "--loss.kind", "focal",
+     "--loss.gamma", "2", "--train.max_epochs", "2", "--train.out_dir", "runs/desk_focal"],
+    ["evaluate", "--checkpoint", "runs/desk_focal/best.bct1", "--data.root", "desk", "--split", "train",
+     "--out", "evaluate_desk.jsonl"],
 )
 
 

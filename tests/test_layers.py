@@ -1,4 +1,6 @@
+import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -724,6 +726,78 @@ def test_recorded_conv_holds_no_full_batch_columns():
     assert out.requires_grad
     assert held < full_cols, f"held {held / 2**20:.1f} MiB after the forward"
     assert peak < full_cols, f"traced peak {peak / 2**20:.1f} MiB during the forward"
+
+
+# ---- a conv's backward drops what it no longer needs ----
+#
+# The backward walk lets go of a node before it calls the node's closure with
+# its gradient, so a conv's output goes unless the caller holds it, and from
+# CPython 3.11 the closure owns the gradient. A trainable conv makes the one
+# transposed copy of it that dW needs, reads dx from a view of that copy, and
+# so drops the incoming gradient before it takes or rebuilds its columns.
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="below 3.11 the walk's call keeps the gradient alive")
+def test_conv1_gradient_and_output_are_gone_when_it_rebuilds_columns(monkeypatch):
+    # desk's network and training batch: conv1's 6.75 MiB of columns exceed
+    # the limit, so its backward rebuilds them; its incoming gradient and its
+    # output (2 MiB each) must be freed by then
+    model = build_cnn(seed=0)
+    conv1 = model.layers[0][1]
+    x = Tensor(np.random.default_rng(0).random((16, 3, 64, 64), dtype=np.float32))
+    refs, alive_at_rebuild = {}, []
+    real_call, real_accumulate, real_im2col = Conv2d.__call__, Tensor.accumulate_grad, bct.layers._im2col
+
+    def call(self, t):
+        out = real_call(self, t)
+        if self is conv1:
+            refs["output"], refs["output base"] = weakref.ref(out.data), weakref.ref(out.data.base)
+        return out
+
+    def accumulate_grad(self, g):
+        real_accumulate(self, g)
+        if "output" in refs and self.data is refs["output"]():
+            refs["gradient"] = weakref.ref(self.grad)
+
+    def im2col(xp, win):
+        if xp.shape == (3, 16, 66, 66):  # the whole batch: conv1's rebuild for dW
+            alive_at_rebuild.extend(name for name, ref in refs.items() if ref() is not None)
+        return real_im2col(xp, win)
+
+    monkeypatch.setattr(Conv2d, "__call__", call)
+    monkeypatch.setattr(Tensor, "accumulate_grad", accumulate_grad)
+    monkeypatch.setattr(bct.layers, "_im2col", im2col)
+    model(x).sum().backward()
+    assert sorted(refs) == ["gradient", "output", "output base"]
+    assert alive_at_rebuild == []
+    assert conv1.weight.grad is not None
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize(
+    "n, c, oc, size, k, stride, padding",
+    [
+        (16, 8, 16, 32, 3, 1, 1),  # desk conv2
+        (16, 16, 32, 16, 3, 1, 1),  # desk conv3
+        (8, 2, 4, 16, 3, 1, 1),  # the imbalance suite's conv2
+        (16, 8, 16, 33, 3, 2, 0),  # stride 2, padding 0
+        (8, 4, 8, 36, 5, 1, 2),  # 5x5 kernel
+        (3, 2, 3, 4, 3, 1, 1),
+    ],
+)
+def test_dx_from_the_transposed_gradient_matches_the_contiguous_one(dtype, n, c, oc, size, k, stride, padding):
+    # a trainable conv's dx GEMMs read the gradient from its transposed copy,
+    # at a row stride n times as long; a frozen one's read the incoming
+    # gradient as it came. The input gradients must be the same bytes
+    grads = []
+    for trainable in (True, False):
+        conv, x = chunked_conv(np.random.default_rng(n), dtype, n, c, oc, size, k, stride, padding)
+        conv.weight.requires_grad = trainable
+        xt = Tensor(x, requires_grad=True, dtype=dtype)
+        out = conv(xt)
+        out._backward(np.random.default_rng(size).standard_normal(out.shape).astype(dtype))
+        grads.append(xt.grad)
+    assert_same_bytes(*grads)
 
 
 def test_no_grad_conv_peak_memory_stays_below_full_columns():

@@ -1,3 +1,4 @@
+import sys
 import warnings
 import weakref
 
@@ -208,6 +209,30 @@ class TestBackward:
         assert dead == [True, True]
         np.testing.assert_array_equal(x.grad, [6.0, 6.0])
         assert root.grad == np.ones(())
+
+    def test_walk_frees_a_node_before_its_own_closure_returns(self, f64):
+        # the walk lets go of mid before it calls mid's closure, so mid's output is
+        # gone while the closure runs; from CPython 3.11 the call moves mid's gradient
+        # in, so the closure frees it by dropping its argument. The leaf x is not spent
+        x = f64([1.0, 2.0])
+        seen = {}
+
+        def mid_backward(g):
+            seen["output freed"] = output() is None
+            gradient = weakref.ref(g)
+            x.accumulate_grad(g * 3.0)
+            del g
+            seen["gradient freed"] = gradient() is None
+
+        mid = Tensor.from_op(x.data * 3.0, (x,), mid_backward)
+        output = weakref.ref(mid.data)
+        root = mid.sum()
+        del mid
+        root.backward()
+        assert seen == {"output freed": True, "gradient freed": sys.version_info >= (3, 11)}
+        np.testing.assert_array_equal(x.grad, [3.0, 3.0])
+        (x * 2.0).sum().backward()
+        np.testing.assert_array_equal(x.grad, [5.0, 5.0])
 
     def test_tape_topological_order(self, f64):
         x = f64([1.0])

@@ -4,10 +4,14 @@ Runs here use 16x16 images and a few samples per class so each case stays
 well under a second; the full-scale behavior lives in test_acceptance.py.
 """
 
+import concurrent.futures
 import json
 import math
+import subprocess
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -207,11 +211,14 @@ class TestStepMemory:
             tracemalloc.stop()
         assert peak < 24 << 20, f"traced peak {peak / 2**20:.1f} MiB"
 
-    def test_one_recorded_desk_step_stays_under_14_5_mib(self):
+    def test_one_recorded_desk_step_stays_under_11_25_mib(self):
         # desk's network, batch, loss and optimizer, after a warm-up step made
-        # Adam's state: the peak (14.3 MiB) is conv1's one weight-gradient GEMM
-        # over its rebuilt 6.75 MiB of columns, so any other full-batch
-        # transient that lands on it crosses the budget
+        # Adam's state: the peak (10.7 MiB) is what the forward saved for backward
+        # (9.65 MiB) plus conv3's pool backward; conv2's and conv1's weight-gradient
+        # GEMMs over their rebuilt columns (4.5 and 6.75 MiB) read 10.6 and 10.3 MiB.
+        # A conv that keeps its incoming gradient or its output (2 MiB each for
+        # conv1) alive through its rebuild, or any other full-batch transient,
+        # crosses the budget (14.3 MiB when conv1 keeps both)
         rng = np.random.default_rng(0)
         pixels, labels = rng.integers(0, 256, (16, 3, 64, 64), dtype=np.uint8), rng.integers(0, 2, 16)
         split = Split(pixels, labels, np.arange(16).astype(str))
@@ -233,7 +240,7 @@ class TestStepMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 14.5 * 2**20, f"traced peak {peak / 2**20:.2f} MiB"
+        assert peak < 11.25 * 2**20, f"traced peak {peak / 2**20:.2f} MiB"
 
     def test_allocator_settings_fall_back_silently(self, monkeypatch):
         keep = trainer._keep_freed_pages.__wrapped__  # uncached: each call really runs
@@ -422,9 +429,30 @@ class TestAblation:
             def map(self, fn, jobs):
                 return map(fn, jobs)
 
-        monkeypatch.setattr(trainer, "ProcessPoolExecutor", InProcessPool)
+        # run_ablation imports the pool class from concurrent.futures only when jobs > 1
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         table = run_ablation("loss", small_config(dataset, max_epochs=1), [1], tmp_path, jobs=64)
         assert sizes == [4] and len(table.runs) == 4
+
+    def test_a_serial_ablation_never_imports_the_process_pool(self, dataset, tmp_path):
+        # the pool's multiprocessing stack adds about 1.7 MiB to a process, so
+        # only run_ablation with jobs > 1 imports it; a fresh interpreter shows it
+        script = (
+            "import sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "import bct, bct.cli, bct.trainer\n"
+            "from bct.config import ModelConfig, TrainConfig\n"
+            "config = TrainConfig(data_root=sys.argv[2], image_size=16, batch_size=8, max_epochs=1,\n"
+            "                     model=ModelConfig(channels=(4, 8, 8), dense_width=16))\n"
+            "bct.trainer.run_ablation('loss', config, [1], sys.argv[3], jobs=1)\n"
+            "print('concurrent.futures.process' in sys.modules)\n"
+        )
+        src = Path(trainer.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-c", script, str(src), dataset, str(tmp_path / "suite")],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.splitlines()[-1] == "False"
+        assert (tmp_path / "suite" / "ablation.csv").is_file()
 
     def test_paradigm_suite_pretrains_per_seed_and_matches_across_jobs(self, dataset, tmp_path):
         source = tmp_path / "rings"
