@@ -6,7 +6,6 @@ error of bct.errors on one stderr line and exits with the code of its class:
 bad configuration 2, bad data or checkpoint 3, numeric failure 4.
 """
 
-import argparse
 import json
 import math
 import os
@@ -234,7 +233,8 @@ def cmd_inspect(args) -> int:
 # ---------------------------------------------------------------- dispatcher
 
 
-def make_parser() -> argparse.ArgumentParser:
+def make_parser() -> "argparse.ArgumentParser":
+    import argparse  # here, so importing bct.cli does not load it
     parser = argparse.ArgumentParser(
         prog="bct", description="two-class image training workbench"
     )

@@ -10,7 +10,6 @@ work starts. flatten() renders a config in the same format, so a run's
 manifest.txt reads back as its config.
 """
 
-import difflib
 import math
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -196,6 +195,7 @@ def flatten(config: TrainConfig) -> dict[str, str]:
 def _reject_unknown(key: str, where: str) -> None:
     if key in _REGISTRY:
         return
+    import difflib  # only a rejected key needs it
     hint = difflib.get_close_matches(key, KEYS, n=1)
     suffix = f"; did you mean {hint[0]!r}?" if hint else ""
     raise ConfigError(f"{where}: unknown config key {key!r}{suffix}")

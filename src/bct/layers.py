@@ -5,8 +5,9 @@ composing primitives. Both work on the k*k strided window views of their
 input (one view per kernel offset, always in (ky, kx) order). Conv2d copies
 the views into channel-major im2col columns and contracts them with one
 BLAS GEMM per sample, so an output's bytes do not depend on its batch. A
-conv builds columns beyond _COLS_BYTES in _BLOCK_BYTES blocks, and a no-grad
-Model forward runs its convs on slices whose columns fit (see Model). MaxPool2d
+conv pads its input one block of samples at a time; only a recorded conv
+whose columns fit _COLS_BYTES builds them at once, and a no-grad Model
+forward runs its convs on row slices (see Model). MaxPool2d
 reduces the views pairwise with np.maximum and finds the gradient routing
 only when its backward runs. Every scatter-add walks the offsets in the
 same order, so gradients are bit-reproducible.
@@ -27,8 +28,8 @@ import numpy as np
 from .rng import Rng, derive
 from .tensor import ShapeError, Tensor, recording
 
-_COLS_BYTES = 1 << 22  # im2col columns a conv builds in one block and keeps for dW, and a no-grad Model slice fills
-_BLOCK_BYTES = 1 << 20  # im2col columns and dx patches a conv builds at once when its batch's exceed _COLS_BYTES
+_COLS_BYTES = 1 << 22  # im2col columns a recorded conv builds at once and keeps for dW, and a no-grad Model slice's sizes
+_BLOCK_BYTES = 1 << 20  # im2col columns and dx patches a conv builds at once when it keeps no columns
 
 
 def glorot_uniform(rng: Rng, shape: tuple, fan_in: int, fan_out: int, dtype) -> np.ndarray:
@@ -78,17 +79,23 @@ class Layer:
         return self.forward(x)
 
 
-def _im2col(xp: np.ndarray, win: list) -> np.ndarray:
-    """The im2col columns of a channel-major map xp (C, N, H, W).
+def _im2col(x: np.ndarray, win: list, p: int, m: int) -> np.ndarray:
+    """The im2col columns of an NCHW batch x zero-padded by p.
 
-    Row c * len(win) + i of the (C * len(win), N, ho * wo) result holds window view i of channel c. Each
-    row is stored 16 elements longer than N * ho * wo, so no row stride is a power of two.
+    x is padded m samples at a time, copied channel-major into one reused zero-bordered buffer,
+    so no padded copy of the whole batch exists. Row c * len(win) + i of the (C * len(win), N,
+    ho * wo) result holds window view i of channel c. Each row is stored 16 elements longer than
+    N * ho * wo, so no row stride is a power of two.
     """
-    c, n = xp.shape[:2]
-    ho, wo = xp[win[0]].shape[2:]
-    cols = np.empty((c * len(win), n * ho * wo + 16), xp.dtype)[:, : n * ho * wo].reshape(c, len(win), n, ho, wo)
-    for i, v in enumerate(win):
-        cols[:, i] = xp[v]
+    n, c, h, w = x.shape
+    pad = np.zeros((c, min(m, n), h + 2 * p, w + 2 * p), x.dtype)
+    ho, wo = pad[win[0]].shape[2:]
+    cols = np.empty((c * len(win), n * ho * wo + 16), x.dtype)[:, : n * ho * wo].reshape(c, len(win), n, ho, wo)
+    for j in range(0, n, m):
+        xp = pad[:, : n - j]  # the last block may be short
+        xp[:, :, p : p + h, p : p + w] = x[j : j + m].transpose(1, 0, 2, 3)
+        for i, v in enumerate(win):
+            cols[:, i, j : j + m] = xp[v]
     return cols.reshape(c * len(win), n, ho * wo)
 
 
@@ -98,17 +105,19 @@ class Conv2d(Layer):
     weight shape (out_channels, in_channels, kh, kw), bias shape (out_channels,).
     Output spatial dims must come out integral: (H + 2p - k) divisible by stride.
 
-    Forward builds the input's im2col columns at once if they fit _COLS_BYTES,
-    else in blocks of _BLOCK_BYTES, and contracts them with one GEMM per
-    sample, so a sample's output bytes do not depend on its batch. The weight
-    gradient is one GEMM over the whole batch's columns, as its bytes depend
-    on that: the recorded op keeps them when they fit, otherwise only the
-    padded input, and backward rebuilds them for that GEMM and frees them
-    after it. The input gradient's patches come in the forward's blocks.
+    Forward builds its input's im2col columns, padding it block by block (see
+    _im2col), and contracts them with one GEMM per sample, so a sample's
+    output bytes do not depend on its batch. The weight gradient is one GEMM
+    over the whole batch's columns, as its bytes depend on that. A recorded op
+    whose columns fit _COLS_BYTES builds them in one block and keeps them for
+    it; any other op builds them in blocks of _BLOCK_BYTES and keeps nothing,
+    and if it is recorded its backward rebuilds the whole batch's columns from
+    x for that GEMM and frees them after it. The input gradient's patches come
+    in the forward's blocks.
     Backward takes the bias gradient first; for a trainable weight it makes the
     one transposed copy of the gradient dW needs and reads dx from a view of it,
-    so the incoming gradient goes before the columns, and what it saved goes as
-    soon as it has them.
+    so the incoming gradient goes before the columns are taken or rebuilt, and
+    the columns go before dx.
     """
 
     def __init__(
@@ -149,17 +158,15 @@ class Conv2d(Layer):
         k, s, p, oc = self.kernel_size, self.stride, self.padding, self.out_channels
         weight, bias = self.weight, self.bias
 
-        xp = np.zeros((c, n, h + 2 * p, w + 2 * p), x.dtype)  # channel-major, zero border
-        xp[:, :, p : p + h, p : p + w] = x.data.transpose(1, 0, 2, 3)
         win, ckk = _windows(k, s, ho, wo), c * k * k
         w2, sample = weight.data.reshape(oc, ckk), ckk * ho * wo * x.data.itemsize  # one sample's columns
-        keep = n * sample <= _COLS_BYTES
+        keep = n * sample <= _COLS_BYTES and recording((x, weight, bias))
         m = max(1, n if keep else _BLOCK_BYTES // sample)  # samples per block of columns and dx patches
         out = np.empty((n, oc, ho * wo), x.dtype)  # C order fixes g.sum's order
         for j in range(0, max(n, 1), m):  # an empty batch still builds its (empty) columns
-            cols = _im2col(xp[:, j : j + m], win)
+            cols = _im2col(x.data[j : j + m], win, p, m)
             np.matmul(w2, cols.transpose(1, 0, 2), out=out[j : j + m])  # one GEMM per sample
-            saved = cols if keep else xp  # the columns for dW, or what rebuilds them
+            saved = cols if keep else None  # the columns for dW, or nothing: backward rebuilds them from x
             del cols  # a block goes before the next one is built
         out += bias.data[:, None]
 
@@ -170,7 +177,7 @@ class Conv2d(Layer):
             if weight.requires_grad:  # a frozen weight needs neither the columns nor the GEMM
                 gt = g.transpose(1, 0, 2).reshape(oc, n * ho * wo)
                 g = gt.reshape(oc, n, ho * wo).transpose(1, 0, 2)  # dx reads gt; the incoming gradient goes
-                cols, saved = (saved if keep else _im2col(saved, win)), None  # the padded input goes now, kept columns after dW
+                cols, saved = (saved if keep else _im2col(x.data, win, p, m)), None  # kept columns go after dW
                 weight.accumulate_grad(np.matmul(cols.reshape(ckk, -1), gt.T).T.reshape(weight.shape))  # np.dot would copy padded rows
                 del cols  # the columns go before dx allocates
             if x.requires_grad:
@@ -351,10 +358,11 @@ class Model:
     order is definition order everywhere (init, updates, checkpoints).
 
     A forward that records nothing runs the layers through the first Flatten on row slices
-    sized so that the largest conv among them fills at most _COLS_BYTES of im2col columns:
-    their output bytes do not depend on the slicing, but a dense layer's do, so the layers
-    after Flatten see the whole batch. A recording forward is never sliced, as its
-    backward rebuilds each conv's whole columns for dW anyway.
+    sized so that the largest conv among them would have at most _COLS_BYTES of im2col
+    columns for a slice, which bounds every layer output there; each conv still builds its
+    columns in _BLOCK_BYTES blocks. Their output bytes do not depend on the slicing, but a
+    dense layer's do, so the layers after Flatten see the whole batch. A recording forward
+    is never sliced, as its backward rebuilds each conv's whole columns for dW anyway.
     """
 
     def __init__(self, layers: list):

@@ -84,6 +84,9 @@ class Rng:
             items[i], items[j] = items[j], items[i]
 
     def permutation(self, n: int) -> np.ndarray:
+        """shuffle(list(range(n))) as int64, its n - 1 words drawn at once."""
         idx = list(range(n))
-        self.shuffle(idx)
+        js = self.u64_array(max(n - 1, 0)) % np.arange(n, 1, -1, dtype=np.uint64)
+        for i, j in zip(range(n - 1, 0, -1), js.tolist()):
+            idx[i], idx[j] = idx[j], idx[i]
         return np.array(idx, dtype=np.int64)

@@ -18,7 +18,6 @@ import functools
 import io
 import json
 import math
-import statistics
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -181,13 +180,13 @@ def train(config: TrainConfig, progress=None) -> RunLog:
     Memory: the splits stay uint8, make_batches returns index arrays, and the
     loop stacks each batch's float32 images only when it reaches that batch,
     so no float copy of a whole split and at most one training batch is alive.
-    A recorded conv keeps its im2col columns only when they fit _COLS_BYTES
-    (see Conv2d); others come in blocks, rebuilt whole only for dW. The backward
-    walk frees each node of the step's graph, with its output, before its
-    closure runs and hands the closure its gradient (a conv drops it before its
-    columns), so the graph is gone before the next forward or the train-eval
-    pass allocates; the eval passes' no-grad Model.forward bounds what its
-    conv stack holds. On glibc the first call also sets the
+    No conv pads its whole batch at once, and only a recorded conv whose im2col
+    columns fit _COLS_BYTES keeps them (see Conv2d); others come in blocks,
+    rebuilt whole only for dW. The backward walk frees each node of the step's
+    graph, with its output, before its closure runs and hands the closure its
+    gradient (a conv drops it before its columns), so the graph is gone before
+    the next forward or the train-eval pass allocates; the eval passes' no-grad
+    Model.forward bounds what its conv stack holds. On glibc the first call also sets the
     process's malloc thresholds (see _keep_freed_pages) so freed pages stay in
     the heap for the next step; the process RSS then stays at its high-water
     mark after train() returns.
@@ -390,7 +389,7 @@ class AblationTable:
 
 
 def _median(values):
-    return statistics.median_high(values) if values else float("nan")
+    return sorted(values)[len(values) // 2] if values else float("nan")  # the upper median
 
 
 def _arm_row(arm: str, runs: list) -> dict:

@@ -598,12 +598,13 @@ def test_pool_backward_into_an_existing_gradient(dtype, k, stride):
 
 # ---- a conv builds oversized columns in blocks ----
 #
-# A conv whose batch's im2col columns fit _COLS_BYTES builds them at once and
-# contracts them in one matmul, one GEMM per sample; a recorded op keeps them
-# for the weight gradient. Otherwise it builds them, and in backward the input
-# gradient's patches, in blocks of _BLOCK_BYTES, and backward rebuilds the
-# whole batch's columns for the weight gradient's one GEMM. The tests spy on
-# np.matmul and _im2col to see the calls the layer really made.
+# A recorded conv whose batch's im2col columns fit _COLS_BYTES builds them at
+# once, contracts them in one matmul, one GEMM per sample, and keeps them for
+# the weight gradient. Any other conv builds them, and in backward the input
+# gradient's patches, in blocks of _BLOCK_BYTES, padding one block at a time,
+# and a recorded one's backward rebuilds the whole batch's columns from its
+# input for the weight gradient's one GEMM. The tests spy on np.matmul and
+# _im2col to see the calls the layer really made.
 
 CHUNK = 3
 CHUNKED_CONVS = [  # (n, c, oc, size, k, stride, padding)
@@ -651,12 +652,13 @@ def test_recorded_conv_keeps_full_columns_under_a_small_limit(monkeypatch, dtype
     # them and multiplies them sample by sample, and backward rebuilds the
     # whole batch's for the weight gradient's one matmul, then makes one dx
     # matmul per sample; under a large limit each is one call. Then come the
-    # oracle's two matmuls
+    # oracle's two matmuls. A forward that is not recorded builds them in
+    # blocks under either limit
     calls = []
 
     def spy(name, fn):
         def call(*args, **kw):
-            calls.append((name, args[0].shape[1] if name == "_im2col" else args[0].shape))  # _im2col: samples
+            calls.append((name, args[0].shape[0] if name == "_im2col" else args[0].shape))  # _im2col: samples
             return fn(*args, **kw)
         return call
 
@@ -674,6 +676,11 @@ def test_recorded_conv_keeps_full_columns_under_a_small_limit(monkeypatch, dtype
         calls.clear()
         check_conv(np.random.default_rng(size), dtype, n, c, oc, size, k, stride, padding)
         assert calls == [*want, fwd, dx]
+        conv, x = chunked_conv(np.random.default_rng(n), dtype, n, c, oc, size, k, stride, padding)
+        calls.clear()
+        with no_grad():
+            conv(Tensor(x, dtype=dtype))
+        assert calls == [("_im2col", 1), fwd] * n
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -703,20 +710,31 @@ def test_conv_gradients_do_not_depend_on_the_column_limit(monkeypatch, dtype, n,
 def test_im2col_row_stride_is_not_a_multiple_of_a_page(c, size):
     # desk's training batch at conv1 to conv3 (16 images, 3x3, padding 1): rows
     # of 16 * size * size floats alone would lie 2**k bytes apart
-    xp = np.zeros((c, 16, size + 2, size + 2), np.float32)
-    cols = bct.layers._im2col(xp, bct.layers._windows(3, 1, size, size))
+    x = np.zeros((16, c, size, size), np.float32)
+    cols = bct.layers._im2col(x, bct.layers._windows(3, 1, size, size), 1, 16)
     assert cols.shape == (c * 9, 16, size * size)
     assert cols.strides[0] % 4096 != 0, f"row stride {cols.strides[0]} B"
 
 
+@pytest.mark.parametrize("m", [1, 2, 4, 5])
+def test_im2col_padded_in_blocks_matches_a_whole_padded_batch(m):
+    # 5 samples in blocks of 1, 2 (short last block), 4 and 5 (one block);
+    # stride 2 over a 7 x 9 map padded by 2
+    x = np.random.default_rng(m).standard_normal((5, 3, 7, 9)).astype(np.float32)
+    win = bct.layers._windows(3, 2, 5, 6)
+    xp = np.pad(x, ((0, 0), (0, 0), (2, 2), (2, 2))).transpose(1, 0, 2, 3)
+    want = np.stack([xp[v] for v in win], axis=1).reshape(3 * 9, 5, 5 * 6)
+    assert_same_bytes(bct.layers._im2col(x, win, 2, m), want)
+
+
 def test_recorded_conv_holds_no_full_batch_columns():
     # desk's training batch at conv1: its columns take 6.75 MiB, above the
-    # 4 MiB limit, so the forward builds them in 1 MiB blocks and the
-    # recorded op keeps only the 0.8 MiB padded input
+    # 4 MiB limit, so the forward pads and builds them in 1 MiB blocks and the
+    # recorded op keeps nothing beside its 2 MiB output, not even a 0.8 MiB
+    # padded copy of the input
     n, c, oc, size = 16, 3, 8, 64
     conv = Conv2d(c, oc, 3, padding=1, rng=Rng(0))
     x = Tensor(np.random.default_rng(0).standard_normal((n, c, size, size)).astype(np.float32))
-    full_cols = c * 9 * n * size * size * 4
     tracemalloc.start()
     try:
         out = conv(x)
@@ -724,8 +742,8 @@ def test_recorded_conv_holds_no_full_batch_columns():
     finally:
         tracemalloc.stop()
     assert out.requires_grad
-    assert held < full_cols, f"held {held / 2**20:.1f} MiB after the forward"
-    assert peak < full_cols, f"traced peak {peak / 2**20:.1f} MiB during the forward"
+    assert held < out.data.nbytes + (64 << 10), f"held {held / 2**20:.2f} MiB after the forward"
+    assert peak < out.data.nbytes + (5 << 18), f"traced peak {peak / 2**20:.2f} MiB during the forward"
 
 
 # ---- a conv's backward drops what it no longer needs ----
@@ -759,10 +777,10 @@ def test_conv1_gradient_and_output_are_gone_when_it_rebuilds_columns(monkeypatch
         if "output" in refs and self.data is refs["output"]():
             refs["gradient"] = weakref.ref(self.grad)
 
-    def im2col(xp, win):
-        if xp.shape == (3, 16, 66, 66):  # the whole batch: conv1's rebuild for dW
+    def im2col(x, win, p, m):
+        if x.shape == (16, 3, 64, 64):  # the whole batch: conv1's rebuild for dW
             alive_at_rebuild.extend(name for name, ref in refs.items() if ref() is not None)
-        return real_im2col(xp, win)
+        return real_im2col(x, win, p, m)
 
     monkeypatch.setattr(Conv2d, "__call__", call)
     monkeypatch.setattr(Tensor, "accumulate_grad", accumulate_grad)
@@ -802,10 +820,11 @@ def test_dx_from_the_transposed_gradient_matches_the_contiguous_one(dtype, n, c,
 
 def test_no_grad_conv_peak_memory_stays_below_full_columns():
     # desk's network and eval batch: the whole batch's conv1 columns alone are
-    # 27 MiB; the no-grad Model runs 9-image slices, so they never all exist
+    # 27 MiB; the no-grad Model runs 9-image slices, so they never all exist,
+    # and each conv builds a slice's columns in 1 MiB blocks, so the peak stays
+    # near 2.5 MiB (5.8 MiB with a slice's 3.8 MiB of conv1 columns at once)
     model = build_cnn(seed=0)
     x = Tensor(np.random.default_rng(0).random((64, 3, 64, 64), dtype=np.float32))
-    full_cols = 3 * 9 * 64 * 64 * 64 * 4
     tracemalloc.start()
     try:
         with no_grad():
@@ -813,7 +832,7 @@ def test_no_grad_conv_peak_memory_stays_below_full_columns():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < full_cols, f"traced peak {peak / 2**20:.1f} MiB"
+    assert peak < 3 << 20, f"traced peak {peak / 2**20:.2f} MiB"
 
 
 # ---- pool before activating ----

@@ -118,14 +118,15 @@ def runlog_in(path):
 )
 def test_malformed_files_parse_or_raise_the_parsers_error(tmp_path, name, write_valid, parse, allowed):
     (tmp_path / "valid").mkdir()
-    (tmp_path / "case").mkdir()
     path = tmp_path / "valid" / name
     write_valid(path)
     raw = path.read_bytes()
     parse(path)  # the unmodified file parses
-    case_path = tmp_path / "case" / name
     crashes, rejected, offsetless = [], 0, []
-    for label, data in mutants(raw, random.Random(0)):
+    for index, (label, data) in enumerate(mutants(raw, random.Random(0))):
+        # a directory of its own: replacing a file's data, or cmd_plot's SVGs, can force a flush to disk
+        (tmp_path / f"case{index}").mkdir()
+        case_path = tmp_path / f"case{index}" / name
         case_path.write_bytes(data)
         try:
             parse(case_path)

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from bct.rng import GAMMA, Rng, derive, mix
 
@@ -74,6 +75,16 @@ def test_shuffle_is_permutation_and_seed_sensitive():
     c = list(base)
     Rng(2).shuffle(c)
     assert c != a
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 50, 400])
+def test_permutation_is_the_shuffle_of_range_n_and_takes_its_words(n):
+    for seed in (0, 7, 2**64 - 1):
+        order, shuffled, drawn = list(range(n)), Rng(seed), Rng(seed)
+        shuffled.shuffle(order)
+        perm = drawn.permutation(n)
+        assert perm.dtype == np.int64 and perm.tobytes() == np.array(order, dtype=np.int64).tobytes()
+        assert drawn.next_u64() == shuffled.next_u64()  # both consumed n - 1 words
 
 
 def test_permutation_uniformity_smoke():
