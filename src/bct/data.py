@@ -244,8 +244,7 @@ def scan_dataset(root, image_size: int = 64, ratios: tuple = (0.8, 0.1, 0.1), se
             raise DataError(f"{cdir}: no .ppm images found")
         ids.extend((f"class{label}/{name}", label) for name in files)
 
-    order = list(range(len(ids)))
-    Rng(derive(seed, _SPLIT_STREAM)).shuffle(order)
+    order = Rng(derive(seed, _SPLIT_STREAM)).permutation(len(ids)).tolist()
     names = [name for name, n in zip(SPLITS, allocate_splits(len(ids), ratios)) for _ in range(n)]
     assignment = dict(zip(order, names))
     entries = [(img_id, label, assignment[i]) for i, (img_id, label) in enumerate(ids)]

@@ -63,11 +63,8 @@ class Rng:
             words = _mix_array(np.uint64(self.seed) + ks * np.uint64(GAMMA))
         return words
 
-    def uniform(self, n: int | None = None, lo: float = 0.0, hi: float = 1.0):
-        """Floats in [lo, hi) built from the top 53 bits of each word."""
-        if n is None:
-            u = (self.next_u64() >> 11) * _INV53
-            return lo + (hi - lo) * u
+    def uniform(self, n: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
+        """n floats in [lo, hi) built from the top 53 bits of each word."""
         u = (self.u64_array(n) >> np.uint64(11)).astype(np.float64) * _INV53
         return lo + (hi - lo) * u
 

@@ -11,6 +11,7 @@ from bct.config import ModelConfig, TrainConfig
 from bct.data import (
     MANIFEST_NAME,
     allocate_splits,
+    ensure_manifest,
     load_manifest,
     load_split,
     make_batches,
@@ -207,6 +208,13 @@ class TestSplits:
         assert m1.entries == m2.entries
         m3 = scan_dataset(tmp_path, image_size=8, seed=43)
         assert m3.entries != m1.entries
+
+    def test_resplit_with_the_pinned_ratios_and_another_seed_rescans(self, tmp_path):
+        pinned = synth_generate(tmp_path, n_per_class=10, seed=1, image_size=8)
+        assert ensure_manifest(tmp_path, image_size=8, seed=2).entries == pinned.entries  # the pin wins
+        resplit = ensure_manifest(tmp_path, image_size=8, seed=2, resplit=True)
+        assert resplit.seed == load_manifest(tmp_path).seed == 2
+        assert resplit.entries == scan_dataset(tmp_path, image_size=8, seed=2).entries != pinned.entries
 
     def test_ratio_validation(self, tmp_path):
         synth_generate(tmp_path, n_per_class=2, seed=0, image_size=8)

@@ -6,7 +6,9 @@ that cover every loss and every optimizer between them, the paradigm suite
 at --jobs 2, one evaluate line and the two plot SVGs; then a desk-scale
 synth, train and evaluate at 64 px, whose convs and eval batches are large
 enough to take the memory-bounding paths. Only walltime.csv is left out. golden/ledger.txt holds one `sha256  relative/path` line per file;
-golden/env.txt records the numpy and BLAS the ledger was made with.
+golden/env.txt records the numpy, BLAS and OpenBLAS kernel family the ledger was made with. The .bct1 and
+runlog.csv digests move with the kernel family (OPENBLAS_CORETYPE forces one), so a second test reruns the
+session under Haswell kernels and compares the two runs with each other, not with the ledger.
 
 A change that moves artifacts on purpose rewrites both files with
 
@@ -15,8 +17,11 @@ A change that moves artifacts on purpose rewrites both files with
 and says which artifacts moved and why.
 """
 
+import ctypes
 import hashlib
+import json
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -25,7 +30,8 @@ import numpy as np
 
 from bct.cli import main
 
-GOLDEN = Path(__file__).resolve().parent / "golden"
+TESTS = Path(__file__).resolve().parent
+GOLDEN = TESTS / "golden"
 LEDGER = GOLDEN / "ledger.txt"
 ENV = GOLDEN / "env.txt"
 NOT_PINNED = {"walltime.csv"}
@@ -56,12 +62,24 @@ SESSION = (
 )
 
 
+def blas_core() -> str:
+    """The kernel family numpy's bundled OpenBLAS chose at load time, e.g. SkylakeX; "unknown" without that library."""
+    for lib in sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
 def env_record() -> dict[str, str]:
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):  # numpy before 1.26 has no dict form
         blas = {}
-    return {"numpy": np.__version__, "blas": f"{blas.get('name')} {blas.get('version')}"}
+    return {"numpy": np.__version__, "blas": f"{blas.get('name')} {blas.get('version')}", "blas_core": blas_core()}
 
 
 def run_session() -> dict[str, str]:
@@ -91,6 +109,29 @@ def test_artifacts_match_the_ledger(tmp_path, monkeypatch):
     env, recorded = env_record(), dict(read_lines(ENV, " = "))
     env_diff = [f"{k}: recorded {recorded.get(k)}, here {env[k]}" for k in env if recorded.get(k) != env[k]]
     assert not differ, "\n".join(differ + env_diff)
+
+
+# run in a fresh directory; writes [blas core, digests] as JSON to the path in argv[1], outside that directory
+_CHILD = ("import json, sys, pathlib, test_golden; "
+          "pathlib.Path(sys.argv[1]).write_text(json.dumps([test_golden.blas_core(), test_golden.run_session()]))")
+
+
+def test_reruns_match_on_a_second_kernel_family(tmp_path):
+    # one BLAS thread: on Haswell kernels the .bct1 and runlog bytes also move with the thread count.
+    # The hash seed changes between the runs, so no artifact may depend on set or str-hash order
+    path = os.pathsep.join(filter(None, [str(TESTS.parent / "src"), str(TESTS), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_CORETYPE": "Haswell", "OPENBLAS_NUM_THREADS": "1"}
+    runs = []
+    for hash_seed in ("1", "7"):
+        cwd, out = tmp_path / f"hashseed_{hash_seed}", tmp_path / f"hashseed_{hash_seed}.json"
+        cwd.mkdir()
+        child = subprocess.run([sys.executable, "-c", _CHILD, str(out)], cwd=cwd,
+                               env={**env, "PYTHONHASHSEED": hash_seed}, capture_output=True, text=True)
+        assert child.returncode == 0, child.stderr
+        runs.append(json.loads(out.read_text(encoding="utf-8")))
+    (core, first), (_, second) = runs
+    assert core in ("Haswell", "unknown")
+    assert first == second, "\n".join(f"changed {p}" for p in sorted(first) if first[p] != second.get(p))
 
 
 if __name__ == "__main__":

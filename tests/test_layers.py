@@ -210,7 +210,7 @@ class TestLayerGradients:
                 bias=rng.uniform(oc, -1, 1),
                 dtype=np.float64,
             )
-            wsum = Tensor(rng.uniform(), dtype=np.float64)  # scale makes the scalar generic
+            wsum = Tensor(rng.uniform(1)[0], dtype=np.float64)  # scale makes the scalar generic
             check_gradients(
                 lambda: (conv(x) ** 2).sum() * wsum, [x, conv.weight, conv.bias]
             )
@@ -293,6 +293,16 @@ class TestModelBuilders:
                 assert not p.data.any()
             else:
                 assert np.abs(p.data).max() <= 1.0  # glorot limits are all < 1 here
+
+    def test_cnn_convs_keep_spatial_size_at_kernel_5(self):
+        m = build_cnn(input_shape=(3, 16, 16), channels=(2, 2, 2), dense_width=4, kernel_size=5)
+        x = Tensor(np.zeros((1, 3, 16, 16), dtype=np.float32))
+        for _, layer in m.layers:
+            y = layer(x)
+            if isinstance(layer, Conv2d):
+                assert layer.weight.shape[2:] == (5, 5) and y.shape[2:] == x.shape[2:]
+            x = y
+        assert x.shape == (1, 2)
 
     def test_cnn_rejects_unpoolable_input(self):
         with pytest.raises(ShapeError):
@@ -404,7 +414,10 @@ def ref_conv(x, w, b, stride, padding, g):
     out = np.matmul(w2, patches)
     out += b[None, :, None]
     g2 = g.reshape(n, oc, ho * wo)
-    dw = np.tensordot(g2, patches, axes=([0, 2], [0, 2])).reshape(w.shape)
+    # dW in Conv2d's GEMM orientation: (c*k*k, n*ho*wo) columns times the gradient's transpose, then
+    # transposed. Some OpenBLAS kernels (Haswell, Katmai) round the transposed product differently
+    cols = patches.transpose(1, 0, 2).reshape(c * k * k, n * ho * wo)
+    dw = np.matmul(cols, g2.transpose(1, 0, 2).reshape(oc, n * ho * wo).T).T.reshape(w.shape)
     dxp = np.zeros_like(xp)
     ref_scatter(dxp, np.matmul(w2.T, g2).reshape(n, c, k, k, ho, wo), k, stride, ho, wo)
     return out.reshape(n, oc, ho, wo), dxp[:, :, p : p + h, p : p + wd], dw, g2.sum(axis=(0, 2))
@@ -652,8 +665,8 @@ def test_recorded_conv_keeps_full_columns_under_a_small_limit(monkeypatch, dtype
     # them and multiplies them sample by sample, and backward rebuilds the
     # whole batch's for the weight gradient's one matmul, then makes one dx
     # matmul per sample; under a large limit each is one call. Then come the
-    # oracle's two matmuls. A forward that is not recorded builds them in
-    # blocks under either limit
+    # oracle's three matmuls, in the same orientations. A forward that is not
+    # recorded builds them in blocks under either limit
     calls = []
 
     def spy(name, fn):
@@ -675,7 +688,7 @@ def test_recorded_conv_keeps_full_columns_under_a_small_limit(monkeypatch, dtype
         monkeypatch.setattr(bct.layers, "_COLS_BYTES", limit)
         calls.clear()
         check_conv(np.random.default_rng(size), dtype, n, c, oc, size, k, stride, padding)
-        assert calls == [*want, fwd, dx]
+        assert calls == [*want, fwd, dw, dx]
         conv, x = chunked_conv(np.random.default_rng(n), dtype, n, c, oc, size, k, stride, padding)
         calls.clear()
         with no_grad():

@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bct.losses import (
+    LOSS_KINDS,
+    REDUCTIONS,
     SCORE_FLOOR,
     LossSpec,
     binary_cross_entropy,
@@ -357,6 +359,20 @@ def test_focal_saturation_gradient_is_finite(first):
         chain_loss(s2, t, gamma=0.5).backward()
     assert np.isnan(s2.grad[0]).any()
     np.testing.assert_array_equal(s.grad[1], s2.grad[1])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 2.0, 1e30, float(np.finfo(np.float32).max)])
+@pytest.mark.parametrize("reduction", REDUCTIONS)
+@pytest.mark.parametrize("kind", LOSS_KINDS)
+def test_loss_value_is_finite_when_the_true_class_scores_zero(kind, reduction, gamma, dtype):
+    # train() keeps no loss check: the clamp at SCORE_FLOOR bounds every term. Only the value is
+    # asserted; at gamma = float32 max the focal score gradient is infinite, which Optimizer.step reports.
+    rows = [[0.0, 1.0], [1.0, 0.0]] * 32 + [[0.5, 0.5], [1.0, 0.0]]
+    targets = [[1.0, 0.0], [0.0, 1.0]] * 32 + [[1.0, 0.0], [1.0, 0.0]]
+    s, t = batch(rows, targets, dtype)
+    value = make_loss(LossSpec(kind=kind, gamma=gamma, reduction=reduction))(s, t).item()
+    assert np.isfinite(value) and value > 0
 
 
 def test_loss_is_one_tape_node():

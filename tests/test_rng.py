@@ -60,10 +60,6 @@ def test_uniform_range_and_determinism():
     assert np.all(v >= lo) and np.all(v < hi)
 
 
-def test_uniform_scalar_matches_array_head():
-    assert Rng(9).uniform() == Rng(9).uniform(4)[0]
-
-
 def test_shuffle_is_permutation_and_seed_sensitive():
     base = list(range(50))
     a = list(base)

@@ -7,6 +7,7 @@ well under a second; the full-scale behavior lives in test_acceptance.py.
 import concurrent.futures
 import json
 import math
+import re
 import statistics
 import subprocess
 import sys
@@ -20,6 +21,7 @@ import pytest
 
 from bct import trainer
 from bct.checkpoint import read_checkpoint
+from bct.cli import main
 from bct.config import ModelConfig, TrainConfig
 from bct.data import Split, stack_batch, synth_generate
 from bct.errors import ConfigError, DataError, NumericError
@@ -93,20 +95,18 @@ class TestTrainLoop:
         with pytest.raises(ConfigError, match="image_size"):
             train(config)
 
-    def test_non_finite_loss_names_epoch_and_batch(self, dataset, monkeypatch):
-        class Poisoned:
-            def item(self):
-                return float("nan")
-
-        monkeypatch.setattr(trainer, "make_loss", lambda spec: lambda s, t: Poisoned())
-        with pytest.raises(NumericError, match="epoch 1, batch 0"):
-            train(small_config(dataset))
-
     def test_diverging_forward_names_epoch_batch_and_layer(self, dataset):
         # step 1 leaves huge but finite weights; the next forward's scores are NaN
         config = small_config(dataset, optim=OptimizerConfig(learning_rate=1e30))
         with pytest.raises(NumericError, match=r"non-finite scores at epoch 1, batch 1; "
                                                r"first non-finite output from layer 12 \(dense2\)"):
+            train(config)
+
+    def test_diverging_eval_pass_names_the_epoch(self, dataset):
+        # one batch per epoch: its step leaves huge weights, and the train-eval pass is the next forward
+        config = small_config(dataset, batch_size=64, optim=OptimizerConfig(learning_rate=1e30))
+        with pytest.raises(NumericError, match=r"^epoch 1: non-finite scores in evaluation batch 0; "
+                                               r"first non-finite output from layer \d+"):
             train(config)
 
     def test_non_finite_eval_scores_name_the_batch_and_layer(self, dataset):
@@ -337,6 +337,24 @@ class TestParadigmRuns:
         assert len(etl.transitions) == 1
         assert etl.transitions[0].reason == "cap"
 
+    def test_train_command_prints_each_epoch_and_the_stage_switch(self, dataset, pretrained, tmp_path, capsys):
+        no_val = tmp_path / "no_val"
+        synth_generate(no_val, n_per_class=4, seed=2, image_size=16, cell_size=4, ratios=(1.0, 0.0, 0.0))
+        small = ["--data.image_size", "16", "--model.channels", "4,8,8", "--model.dense_width", "16",
+                 "--train.max_epochs", "2"]
+        epoch = r"epoch +{}  stage {}  loss \d+\.\d{{6}}  acc \d\.\d{{4}}  val {}"
+        assert main(["train", "--data.root", str(no_val), "--data.ratios", "1,0,0", *small]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for line, n in zip(lines, (1, 2)):
+            assert re.fullmatch(epoch.format(n, 1, "-"), line), line
+        assert not lines[2].startswith("epoch")
+        assert main(["train", "--data.root", dataset, "--model.kind", "backbone", "--paradigm.kind", "etl",
+                     "--paradigm.pretrain_checkpoint", pretrained, *small]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for line, (n, stage) in zip(lines, ((1, 1), (2, 1), (3, 2), (4, 2))):
+            assert re.fullmatch(epoch.format(n, stage, r"\d\.\d{4}"), line), line
+        assert lines[4] == "stage switch after epoch 2: head -> backbone (cap)"
+
     def test_paradigm_requires_checkpoint(self, dataset):
         config = small_config(
             dataset,
@@ -377,6 +395,13 @@ class TestArtifacts:
         path = tmp_path / "runlog.csv"
         path.write_text(text, encoding="utf-8")
         assert runlog_csv(RunLog(records=read_runlog(path))) == text
+
+    @pytest.mark.parametrize("row", ["2,1,0.5,1.5,0.5", "2,1,0.5,0.5,-0.1"], ids=["train_acc", "val_acc"])
+    def test_read_runlog_rejects_an_accuracy_out_of_range(self, tmp_path, row):
+        path = tmp_path / "runlog.csv"
+        path.write_text(runlog_csv(RunLog(records=[EpochRecord(1, 1, 0.5, 0.5, 0.5)])) + row + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match=rf"^{re.escape(str(path))}:3: train_acc must lie in \[0, 1\]"):
+            read_runlog(path)
 
     def test_epochs_label(self):
         assert RunLog(per_stage_epochs=[3]).epochs_label() == "3"
