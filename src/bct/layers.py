@@ -3,13 +3,13 @@
 Convolution and pooling register their own backward closures rather than
 composing primitives. Both work on the k*k strided window views of their
 input (one view per kernel offset, always in (ky, kx) order). Conv2d copies
-the views into channel-major im2col columns and contracts them with one
-BLAS GEMM per sample, so an output's bytes do not depend on its batch. A
-conv pads its input one block of samples at a time; only a recorded conv
-whose columns fit _COLS_BYTES builds them at once, and a no-grad Model
-forward runs its convs on row slices (see Model). MaxPool2d
-reduces the views pairwise with np.maximum and finds the gradient routing
-only when its backward runs. Every scatter-add walks the offsets in the
+the views into channel-major im2col columns, padding and building them one
+_BLOCK_BYTES block of samples at a time, and runs every GEMM per sample:
+forward, weight gradient and input gradient, so no bytes depend on the
+blocks and a sample's output not on its batch. A no-grad Model forward
+runs its convs on row slices (see Model). MaxPool2d reduces the views pairwise with np.maximum
+and finds the gradient routing only when its backward runs. Every
+scatter-add walks the offsets, and the weight gradient the samples, in the
 same order, so gradients are bit-reproducible.
 
 The builders pool before they activate (conv -> max-pool -> activation), so
@@ -28,8 +28,8 @@ import numpy as np
 from .rng import Rng, derive
 from .tensor import ShapeError, Tensor, recording
 
-_COLS_BYTES = 1 << 22  # im2col columns a recorded conv builds at once and keeps for dW, and a no-grad Model slice's sizes
-_BLOCK_BYTES = 1 << 20  # im2col columns and dx patches a conv builds at once when it keeps no columns
+_COLS_BYTES = 1 << 22  # the largest conv's im2col columns for one no-grad Model slice
+_BLOCK_BYTES = 1 << 20  # im2col columns and dx patches a conv builds at once
 
 
 def glorot_uniform(rng: Rng, shape: tuple, fan_in: int, fan_out: int, dtype) -> np.ndarray:
@@ -79,23 +79,21 @@ class Layer:
         return self.forward(x)
 
 
-def _im2col(x: np.ndarray, win: list, p: int, m: int) -> np.ndarray:
-    """The im2col columns of an NCHW batch x zero-padded by p.
+def _im2col(x: np.ndarray, win: list, p: int) -> np.ndarray:
+    """The im2col columns of an NCHW block x zero-padded by p.
 
-    x is padded m samples at a time, copied channel-major into one reused zero-bordered buffer,
-    so no padded copy of the whole batch exists. Row c * len(win) + i of the (C * len(win), N,
-    ho * wo) result holds window view i of channel c. Each row is stored 16 elements longer than
-    N * ho * wo, so no row stride is a power of two.
+    x is copied channel-major into a zero-bordered buffer, and the window views are taken from
+    there. Row c * len(win) + i of the (C * len(win), N, ho * wo) result holds window view i of
+    channel c. Each row is stored 16 elements longer than N * ho * wo, so no row stride is a
+    power of two.
     """
     n, c, h, w = x.shape
-    pad = np.zeros((c, min(m, n), h + 2 * p, w + 2 * p), x.dtype)
-    ho, wo = pad[win[0]].shape[2:]
+    xp = np.zeros((c, n, h + 2 * p, w + 2 * p), x.dtype)
+    xp[:, :, p : p + h, p : p + w] = x.transpose(1, 0, 2, 3)
+    ho, wo = xp[win[0]].shape[2:]
     cols = np.empty((c * len(win), n * ho * wo + 16), x.dtype)[:, : n * ho * wo].reshape(c, len(win), n, ho, wo)
-    for j in range(0, n, m):
-        xp = pad[:, : n - j]  # the last block may be short
-        xp[:, :, p : p + h, p : p + w] = x[j : j + m].transpose(1, 0, 2, 3)
-        for i, v in enumerate(win):
-            cols[:, i, j : j + m] = xp[v]
+    for i, v in enumerate(win):
+        cols[:, i] = xp[v]
     return cols.reshape(c * len(win), n, ho * wo)
 
 
@@ -105,19 +103,17 @@ class Conv2d(Layer):
     weight shape (out_channels, in_channels, kh, kw), bias shape (out_channels,).
     Output spatial dims must come out integral: (H + 2p - k) divisible by stride.
 
-    Forward builds its input's im2col columns, padding it block by block (see
-    _im2col), and contracts them with one GEMM per sample, so a sample's
-    output bytes do not depend on its batch. The weight gradient is one GEMM
-    over the whole batch's columns, as its bytes depend on that. A recorded op
-    whose columns fit _COLS_BYTES builds them in one block and keeps them for
-    it; any other op builds them in blocks of _BLOCK_BYTES and keeps nothing,
-    and if it is recorded its backward rebuilds the whole batch's columns from
-    x for that GEMM and frees them after it. The input gradient's patches come
-    in the forward's blocks.
-    Backward takes the bias gradient first; for a trainable weight it makes the
-    one transposed copy of the gradient dW needs and reads dx from a view of it,
-    so the incoming gradient goes before the columns are taken or rebuilt, and
-    the columns go before dx.
+    Forward builds its input's im2col columns in blocks of _BLOCK_BYTES,
+    padding one block at a time (see _im2col), and contracts them with one
+    GEMM per sample, so a sample's output bytes do not depend on its batch.
+    A recorded op whose whole batch fits one block keeps that block's columns
+    for the weight gradient; any other keeps nothing, and if it is recorded
+    its backward rebuilds the columns from x in the same blocks, freeing each
+    before the next. The weight gradient is one GEMM per sample, g[i] times
+    that sample's columns transposed, summed over the batch in sample order.
+    Backward takes the bias gradient first, then walks the blocks: each
+    block's dW GEMMs, its columns freed, then its input-gradient patches and
+    their scatter-add, all read from the incoming gradient as it came.
     """
 
     def __init__(
@@ -160,11 +156,11 @@ class Conv2d(Layer):
 
         win, ckk = _windows(k, s, ho, wo), c * k * k
         w2, sample = weight.data.reshape(oc, ckk), ckk * ho * wo * x.data.itemsize  # one sample's columns
-        keep = n * sample <= _COLS_BYTES and recording((x, weight, bias))
-        m = max(1, n if keep else _BLOCK_BYTES // sample)  # samples per block of columns and dx patches
+        m = max(1, _BLOCK_BYTES // sample)  # samples per block of columns and dx patches
+        keep = n <= m and recording((x, weight, bias))  # one block: its columns serve dW
         out = np.empty((n, oc, ho * wo), x.dtype)  # C order fixes g.sum's order
-        for j in range(0, max(n, 1), m):  # an empty batch still builds its (empty) columns
-            cols = _im2col(x.data[j : j + m], win, p, m)
+        for j in range(0, n, m):
+            cols = _im2col(x.data[j : j + m], win, p)
             np.matmul(w2, cols.transpose(1, 0, 2), out=out[j : j + m])  # one GEMM per sample
             saved = cols if keep else None  # the columns for dW, or nothing: backward rebuilds them from x
             del cols  # a block goes before the next one is built
@@ -174,19 +170,21 @@ class Conv2d(Layer):
             nonlocal saved
             g = g.reshape(n, oc, ho * wo)
             bias.accumulate_grad(g.sum(axis=(0, 2)))
-            if weight.requires_grad:  # a frozen weight needs neither the columns nor the GEMM
-                gt = g.transpose(1, 0, 2).reshape(oc, n * ho * wo)
-                g = gt.reshape(oc, n, ho * wo).transpose(1, 0, 2)  # dx reads gt; the incoming gradient goes
-                cols, saved = (saved if keep else _im2col(x.data, win, p, m)), None  # kept columns go after dW
-                weight.accumulate_grad(np.matmul(cols.reshape(ckk, -1), gt.T).T.reshape(weight.shape))  # np.dot would copy padded rows
-                del cols  # the columns go before dx allocates
-            if x.requires_grad:
-                dxp = np.zeros((n, c, h + 2 * p, w + 2 * p), x.dtype)
-                for j in range(0, n, m):
+            dw = np.empty((n, oc, ckk), x.dtype) if weight.requires_grad else None  # a frozen weight needs no columns
+            dxp = np.zeros((n, c, h + 2 * p, w + 2 * p), x.dtype) if x.requires_grad else None
+            for j in range(0, n, m):
+                if dw is not None:
+                    cols, saved = (saved if keep else _im2col(x.data[j : j + m], win, p)), None
+                    np.matmul(g[j : j + m], cols.transpose(1, 2, 0), out=dw[j : j + m])  # one GEMM per sample
+                    del cols  # a block goes before the next one is built
+                if dxp is not None:
                     block, dpatches = dxp[j : j + m], np.matmul(w2.T, g[j : j + m]).reshape(-1, c, k * k, ho, wo)
                     for i, v in enumerate(win):
                         np.add(block[v], dpatches[:, :, i], out=block[v])
                     del dpatches  # a block goes before the next one is computed
+            if dw is not None:
+                weight.accumulate_grad(dw.sum(axis=0).reshape(weight.shape))  # axis 0 adds the samples in order
+            if dxp is not None:
                 x.accumulate_grad(dxp[:, :, p : p + h, p : p + w])
 
         return Tensor.from_op(out.reshape(n, oc, ho, wo), (x, weight, bias), backward)
@@ -202,9 +200,9 @@ class MaxPool2d(Layer):
     (accumulate_grad turns -0.0 into +0.0); otherwise windows may overlap or
     leave gaps, and each adds into a zeroed dx. A window holding a NaN
     outputs NaN but, unlike with an argmax, routes no gradient; train() never
-    gets there, as it raises NumericError on the non-finite loss before
-    backward(). A non-finite upstream gradient also reaches the window's
-    other cells, as NaN (inf * 0).
+    gets there, as _checked_forward raises NumericError on the non-finite
+    scores before backward(). A non-finite upstream gradient also reaches the
+    window's other cells, as NaN (inf * 0).
     """
 
     def __init__(self, window: int = 2, stride: int | None = None):
@@ -362,7 +360,7 @@ class Model:
     columns for a slice, which bounds every layer output there; each conv still builds its
     columns in _BLOCK_BYTES blocks. Their output bytes do not depend on the slicing, but a
     dense layer's do, so the layers after Flatten see the whole batch. A recording forward
-    is never sliced, as its backward rebuilds each conv's whole columns for dW anyway.
+    is never sliced, as its graph keeps every layer's whole-batch output for backward anyway.
     """
 
     def __init__(self, layers: list):

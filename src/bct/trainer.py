@@ -180,12 +180,12 @@ def train(config: TrainConfig, progress=None) -> RunLog:
     Memory: the splits stay uint8, make_batches returns index arrays, and the
     loop stacks each batch's float32 images only when it reaches that batch,
     so no float copy of a whole split and at most one training batch is alive.
-    No conv pads its whole batch at once, and only a recorded conv whose im2col
-    columns fit _COLS_BYTES keeps them (see Conv2d); others come in blocks,
-    rebuilt whole only for dW. The backward walk frees each node of the step's
-    graph, with its output, before its closure runs and hands the closure its
-    gradient (a conv drops it before its columns), so the graph is gone before
-    the next forward or the train-eval pass allocates; the eval passes' no-grad
+    Each conv pads and builds its im2col columns one _BLOCK_BYTES block at a
+    time and keeps them only when its batch is one block; otherwise its
+    backward rebuilds them block by block for dW (see Conv2d). The backward walk
+    frees each node of the step's graph, with its output, before its closure
+    runs and hands the closure its gradient, so the graph is gone before the
+    next forward or the train-eval pass allocates; the eval passes' no-grad
     Model.forward bounds what its conv stack holds. On glibc the first call also sets the
     process's malloc thresholds (see _keep_freed_pages) so freed pages stay in
     the heap for the next step; the process RSS then stays at its high-water

@@ -1,6 +1,9 @@
+import os
+import subprocess
 import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -361,20 +364,17 @@ def test_model_duplicate_names_rejected():
 #
 # The kernels below are the first implementation of each layer, kept as
 # oracles: im2col by per-offset patch gathering with argmax pooling, a
-# two-`where` sigmoid, a `tensordot` weight gradient and a pad + scatter-add
+# two-`where` sigmoid, a per-sample GEMM weight gradient and a pad + scatter-add
 # input gradient. The layers must reproduce their floats bit for bit, so a
 # pinned training trajectory cannot move. Upstream gradients are fed to the
 # backward closures directly, because the tape would turn a -0.0 into +0.0
 # before the layer saw it.
 #
-# One known exception: the conv weight gradient is one GEMM over N*ho*wo that
-# computes its transpose, im2col columns times g transposed, without the
-# reference's transposed copy of the columns. OpenBLAS sends GEMMs of at most
-# about 1e6 multiply-adds to small-matrix kernels whose summation order depends
-# on the operand layout, so below that size the weight gradient may differ in
-# the last bits. Every conv of the desk network is above it, and the byte
-# tests below use such shapes; test_conv_small_shapes pins what still holds
-# below it.
+# The conv weight gradient's oracle uses the layer's own sum: one GEMM per
+# sample, the gradient times that sample's patches transposed, added in sample
+# order. Some OpenBLAS kernels (Haswell, Katmai) round the transposed product,
+# patches times the gradient transposed, differently, so it keeps the layer's
+# orientation and is exact on every kernel tried.
 
 DESK_BATCHES = (16, 64, 32, 20)  # train batch, eval batch, eval remainders
 DESK_CONVS = ((3, 8, 64), (8, 16, 32), (16, 32, 16))  # (in_c, out_c, size) per block
@@ -414,10 +414,12 @@ def ref_conv(x, w, b, stride, padding, g):
     out = np.matmul(w2, patches)
     out += b[None, :, None]
     g2 = g.reshape(n, oc, ho * wo)
-    # dW in Conv2d's GEMM orientation: (c*k*k, n*ho*wo) columns times the gradient's transpose, then
-    # transposed. Some OpenBLAS kernels (Haswell, Katmai) round the transposed product differently
-    cols = patches.transpose(1, 0, 2).reshape(c * k * k, n * ho * wo)
-    dw = np.matmul(cols, g2.transpose(1, 0, 2).reshape(oc, n * ho * wo).T).T.reshape(w.shape)
+    # dW in Conv2d's GEMM orientation: one gradient-times-patches-transposed GEMM per sample, summed
+    # in sample order. Some OpenBLAS kernels (Haswell, Katmai) round the transposed product differently
+    dw = np.zeros((oc, c * k * k), x.dtype)
+    for i in range(n):
+        dw += np.matmul(g2[i], patches[i].T)
+    dw = dw.reshape(w.shape)
     dxp = np.zeros_like(xp)
     ref_scatter(dxp, np.matmul(w2.T, g2).reshape(n, c, k, k, ho, wo), k, stride, ho, wo)
     return out.reshape(n, oc, ho, wo), dxp[:, :, p : p + h, p : p + wd], dw, g2.sum(axis=(0, 2))
@@ -464,7 +466,7 @@ def with_negative_zeros(rng, g):
     return g
 
 
-def check_conv(rng, dtype, n, c, oc, size, k=3, stride=1, padding=1, exact_dweight=True):
+def check_conv(rng, dtype, n, c, oc, size, k=3, stride=1, padding=1):
     x = rng.standard_normal((n, c, size, size)).astype(dtype)
     w = (rng.standard_normal((oc, c, k, k)) * 0.3).astype(dtype)
     b = rng.standard_normal(oc).astype(dtype)
@@ -477,12 +479,7 @@ def check_conv(rng, dtype, n, c, oc, size, k=3, stride=1, padding=1, exact_dweig
     assert_same_bytes(out.data, want[0])
     assert_same_bytes(xt.grad, accumulated(want[1]))
     assert_same_bytes(conv.bias.grad, accumulated(want[3]))
-    if exact_dweight:
-        assert_same_bytes(conv.weight.grad, accumulated(want[2]))
-    else:
-        # a different summation order: a few ulps of sum |g * x| per entry
-        scale = ref_conv(np.abs(x), w, b, stride, padding, np.abs(g))[2]
-        assert (np.abs(conv.weight.grad - want[2]) <= 8 * np.finfo(dtype).eps * scale).all()
+    assert_same_bytes(conv.weight.grad, accumulated(want[2]))
 
 
 def check_pool(rng, dtype, x, k=2, stride=None):
@@ -536,7 +533,7 @@ class TestReferenceKernelBytes:
         ],
     )
     def test_conv_small_shapes(self, dtype, n, c, oc, size):
-        check_conv(np.random.default_rng(size), dtype, n, c, oc, size, exact_dweight=False)
+        check_conv(np.random.default_rng(size), dtype, n, c, oc, size)
 
     @pytest.mark.parametrize("n", DESK_BATCHES)
     def test_pool_desk_shapes(self, dtype, n):
@@ -565,6 +562,19 @@ class TestReferenceKernelBytes:
         rng = np.random.default_rng(0)
         a = np.concatenate([special, rng.standard_normal(1000) * 30]).astype(dtype)
         check_sigmoid(rng, dtype, a)
+
+
+def test_conv_bytes_hold_on_a_second_kernel_family():
+    # the float32 desk-shape and small-shape conv cases above, rerun under Haswell kernels at one BLAS
+    # thread. They round the transposed dW product, columns times the gradient transposed, unlike
+    # the program's, where the native SkylakeX kernels round both alike
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+           "OPENBLAS_CORETYPE": "Haswell", "OPENBLAS_NUM_THREADS": "1"}
+    cases = "TestReferenceKernelBytes and (conv_desk_shapes or conv_small_shapes) and float32"
+    child = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__, "-k", cases],
+                           env=env, capture_output=True, text=True)
+    assert child.returncode == 0 and child.stdout.splitlines()[-1].startswith("8 passed"), child.stdout[-4000:]
 
 
 def test_conv_output_contiguous_and_bias_grad_order():
@@ -611,13 +621,13 @@ def test_pool_backward_into_an_existing_gradient(dtype, k, stride):
 
 # ---- a conv builds oversized columns in blocks ----
 #
-# A recorded conv whose batch's im2col columns fit _COLS_BYTES builds them at
-# once, contracts them in one matmul, one GEMM per sample, and keeps them for
-# the weight gradient. Any other conv builds them, and in backward the input
-# gradient's patches, in blocks of _BLOCK_BYTES, padding one block at a time,
-# and a recorded one's backward rebuilds the whole batch's columns from its
-# input for the weight gradient's one GEMM. The tests spy on np.matmul and
-# _im2col to see the calls the layer really made.
+# A conv builds its im2col columns, and in backward the input gradient's
+# patches, in blocks of _BLOCK_BYTES, padding one block at a time, and
+# contracts each block in one matmul, one GEMM per sample. A recorded conv
+# whose batch fits one block keeps its columns for the weight gradient; any
+# other recorded conv's backward rebuilds them from its input in the same
+# blocks, one matmul of per-sample weight-gradient GEMMs each. The tests spy on
+# np.matmul and _im2col to see the calls the layer really made.
 
 CHUNK = 3
 CHUNKED_CONVS = [  # (n, c, oc, size, k, stride, padding)
@@ -661,12 +671,12 @@ def sample_columns(dtype, n, c, oc, size, k, stride, padding):
 @pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("n, c, oc, size, k, stride, padding", CHUNKED_CONVS)
 def test_recorded_conv_keeps_full_columns_under_a_small_limit(monkeypatch, dtype, n, c, oc, size, k, stride, padding):
-    # blocks of one sample: a forward whose columns exceed the limit builds
-    # them and multiplies them sample by sample, and backward rebuilds the
-    # whole batch's for the weight gradient's one matmul, then makes one dx
-    # matmul per sample; under a large limit each is one call. Then come the
-    # oracle's three matmuls, in the same orientations. A forward that is not
-    # recorded builds them in blocks under either limit
+    # blocks of one sample, of n - 1 (a short last block) and of the whole
+    # batch: the forward builds and multiplies each block; backward rebuilds
+    # each block's columns for its weight-gradient matmul, then makes its dx
+    # matmul, unless the batch is one block, whose columns it kept. Then come
+    # the oracle's matmuls, in the same orientations: its forward, one dW GEMM
+    # per sample and its dx. A forward that is not recorded builds the blocks
     calls = []
 
     def spy(name, fn):
@@ -679,41 +689,39 @@ def test_recorded_conv_keeps_full_columns_under_a_small_limit(monkeypatch, dtype
         monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
     ho, wo = Conv2d(c, oc, k, stride, padding, rng=Rng(0)).out_shape(size, size)
     ckk = c * k * k
-    fwd, dw, dx = ("matmul", (oc, ckk)), ("matmul", (ckk, n * ho * wo)), ("matmul", (ckk, oc))
-    monkeypatch.setattr(bct.layers, "_BLOCK_BYTES", sample_columns(dtype, n, c, oc, size, k, stride, padding))
-    for limit, want in (
-        (1, [("_im2col", 1), fwd] * n + [("_im2col", n), dw] + [dx] * n),
-        (1 << 40, [("_im2col", n), fwd, dw, dx]),
-    ):
-        monkeypatch.setattr(bct.layers, "_COLS_BYTES", limit)
+    fwd, dx = ("matmul", (oc, ckk)), ("matmul", (ckk, oc))
+    oracle = [fwd] + [("matmul", (oc, ho * wo))] * n + [dx]
+    for m in (1, n - 1, n):
+        monkeypatch.setattr(bct.layers, "_BLOCK_BYTES", m * sample_columns(dtype, n, c, oc, size, k, stride, padding))
+        blocks = [min(m, n - j) for j in range(0, n, m)]
+        forward = [call for b in blocks for call in (("_im2col", b), fwd)]
+        rebuilt = m < n  # the batch is more than one block: backward rebuilds each one's columns
+        backward = [call for b in blocks for call in [("_im2col", b)] * rebuilt + [("matmul", (b, oc, ho * wo)), dx]]
         calls.clear()
         check_conv(np.random.default_rng(size), dtype, n, c, oc, size, k, stride, padding)
-        assert calls == [*want, fwd, dw, dx]
+        assert calls == forward + backward + oracle
         conv, x = chunked_conv(np.random.default_rng(n), dtype, n, c, oc, size, k, stride, padding)
         calls.clear()
         with no_grad():
             conv(Tensor(x, dtype=dtype))
-        assert calls == [("_im2col", 1), fwd] * n
+        assert calls == forward
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("n, c, oc, size, k, stride, padding", CHUNKED_CONVS + [(8, 3, 2, 32, 3, 1, 1), (3, 2, 3, 4, 3, 1, 1)])
 def test_conv_gradients_do_not_depend_on_the_column_limit(monkeypatch, dtype, n, c, oc, size, k, stride, padding):
-    # the weight gradient's columns rebuilt (limit 1) and kept (1 << 40), with
-    # the forward's columns and the dx patches built in blocks of one sample,
-    # of n - 1 (a partial last block) or of the whole batch; also below the
-    # GEMM size where the weight gradient's bytes may differ from the oracle's
+    # the columns and the dx patches built in blocks of one sample or of
+    # n - 1 (a partial last block), the weight gradient's columns rebuilt, or
+    # the whole batch in one block, its columns kept; also at small shapes
     sample = sample_columns(dtype, n, c, oc, size, k, stride, padding)
     results = []
     for block in (sample, (n - 1) * sample, 1 << 40):
-        for limit in (1, 1 << 40):
-            monkeypatch.setattr(bct.layers, "_BLOCK_BYTES", block)
-            monkeypatch.setattr(bct.layers, "_COLS_BYTES", limit)
-            conv, x = chunked_conv(np.random.default_rng(n), dtype, n, c, oc, size, k, stride, padding)
-            xt = Tensor(x, requires_grad=True, dtype=dtype)
-            out = conv(xt)
-            out._backward(np.random.default_rng(size).standard_normal(out.shape).astype(dtype))
-            results.append([out.data, xt.grad, conv.weight.grad, conv.bias.grad])
+        monkeypatch.setattr(bct.layers, "_BLOCK_BYTES", block)
+        conv, x = chunked_conv(np.random.default_rng(n), dtype, n, c, oc, size, k, stride, padding)
+        xt = Tensor(x, requires_grad=True, dtype=dtype)
+        out = conv(xt)
+        out._backward(np.random.default_rng(size).standard_normal(out.shape).astype(dtype))
+        results.append([out.data, xt.grad, conv.weight.grad, conv.bias.grad])
     for other in results[1:]:
         for got, want in zip(other, results[0]):
             assert_same_bytes(got, want)
@@ -724,25 +732,28 @@ def test_im2col_row_stride_is_not_a_multiple_of_a_page(c, size):
     # desk's training batch at conv1 to conv3 (16 images, 3x3, padding 1): rows
     # of 16 * size * size floats alone would lie 2**k bytes apart
     x = np.zeros((16, c, size, size), np.float32)
-    cols = bct.layers._im2col(x, bct.layers._windows(3, 1, size, size), 1, 16)
+    cols = bct.layers._im2col(x, bct.layers._windows(3, 1, size, size), 1)
     assert cols.shape == (c * 9, 16, size * size)
     assert cols.strides[0] % 4096 != 0, f"row stride {cols.strides[0]} B"
 
 
 @pytest.mark.parametrize("m", [1, 2, 4, 5])
 def test_im2col_padded_in_blocks_matches_a_whole_padded_batch(m):
-    # 5 samples in blocks of 1, 2 (short last block), 4 and 5 (one block);
-    # stride 2 over a 7 x 9 map padded by 2
+    # 5 samples in blocks of 1, 2 (short last block), 4 and 5 (one block), as
+    # Conv2d slices them, each block padded on its own; stride 2 over a 7 x 9
+    # map padded by 2
     x = np.random.default_rng(m).standard_normal((5, 3, 7, 9)).astype(np.float32)
     win = bct.layers._windows(3, 2, 5, 6)
     xp = np.pad(x, ((0, 0), (0, 0), (2, 2), (2, 2))).transpose(1, 0, 2, 3)
     want = np.stack([xp[v] for v in win], axis=1).reshape(3 * 9, 5, 5 * 6)
-    assert_same_bytes(bct.layers._im2col(x, win, 2, m), want)
+    blocks = [bct.layers._im2col(x[j : j + m], win, 2) for j in range(0, 5, m)]
+    assert [b.shape[1] for b in blocks] == [min(m, 5 - j) for j in range(0, 5, m)]
+    assert_same_bytes(np.concatenate(blocks, axis=1), want)
 
 
 def test_recorded_conv_holds_no_full_batch_columns():
-    # desk's training batch at conv1: its columns take 6.75 MiB, above the
-    # 4 MiB limit, so the forward pads and builds them in 1 MiB blocks and the
+    # desk's training batch at conv1: its columns take 6.75 MiB, more than one
+    # 1 MiB block, so the forward pads and builds them in blocks and the
     # recorded op keeps nothing beside its 2 MiB output, not even a 0.8 MiB
     # padded copy of the input
     n, c, oc, size = 16, 3, 8, 64
@@ -763,21 +774,22 @@ def test_recorded_conv_holds_no_full_batch_columns():
 #
 # The backward walk lets go of a node before it calls the node's closure with
 # its gradient, so a conv's output goes unless the caller holds it, and from
-# CPython 3.11 the closure owns the gradient. A trainable conv makes the one
-# transposed copy of it that dW needs, reads dx from a view of that copy, and
-# so drops the incoming gradient before it takes or rebuilds its columns.
+# CPython 3.11 the closure owns the gradient. A conv's dW and dx GEMMs read
+# the incoming gradient block by block, as it came, so no copy of it is made.
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="below 3.11 the walk's call keeps the gradient alive")
 def test_conv1_gradient_and_output_are_gone_when_it_rebuilds_columns(monkeypatch):
-    # desk's network and training batch: conv1's 6.75 MiB of columns exceed
-    # the limit, so its backward rebuilds them; its incoming gradient and its
-    # output (2 MiB each) must be freed by then
+    # desk's network and training batch: conv1's 6.75 MiB of columns are more
+    # than one block, so its backward rebuilds them in 2-sample blocks. Its
+    # output (2 MiB) must be freed by the first; no block holds all 16 samples,
+    # and each block's dW GEMMs read the incoming gradient, not a copy of it
     model = build_cnn(seed=0)
     conv1 = model.layers[0][1]
     x = Tensor(np.random.default_rng(0).random((16, 3, 64, 64), dtype=np.float32))
-    refs, alive_at_rebuild = {}, []
-    real_call, real_accumulate, real_im2col = Conv2d.__call__, Tensor.accumulate_grad, bct.layers._im2col
+    refs, rebuilds, reads = {}, [], []
+    real_call, real_accumulate = Conv2d.__call__, Tensor.accumulate_grad
+    real_im2col, real_matmul = bct.layers._im2col, np.matmul
 
     def call(self, t):
         out = real_call(self, t)
@@ -790,17 +802,24 @@ def test_conv1_gradient_and_output_are_gone_when_it_rebuilds_columns(monkeypatch
         if "output" in refs and self.data is refs["output"]():
             refs["gradient"] = weakref.ref(self.grad)
 
-    def im2col(x, win, p, m):
-        if x.shape == (16, 3, 64, 64):  # the whole batch: conv1's rebuild for dW
-            alive_at_rebuild.extend(name for name, ref in refs.items() if ref() is not None)
-        return real_im2col(x, win, p, m)
+    def im2col(x, win, p):
+        if "output" in refs and x.shape[1:] == (3, 64, 64):  # after conv1's forward: a rebuild block
+            rebuilds.append((x.shape[0], sorted(name for name, ref in refs.items() if ref() is not None)))
+        return real_im2col(x, win, p)
+
+    def matmul(a, b, **kw):
+        if a.shape[1:] == (8, 64 * 64):  # conv1's dW GEMMs
+            reads.append(np.shares_memory(a, refs["gradient"]()))
+        return real_matmul(a, b, **kw)
 
     monkeypatch.setattr(Conv2d, "__call__", call)
     monkeypatch.setattr(Tensor, "accumulate_grad", accumulate_grad)
     monkeypatch.setattr(bct.layers, "_im2col", im2col)
+    monkeypatch.setattr(np, "matmul", matmul)
     model(x).sum().backward()
     assert sorted(refs) == ["gradient", "output", "output base"]
-    assert alive_at_rebuild == []
+    assert rebuilds == [(2, ["gradient"])] * 8
+    assert reads == [True] * 8
     assert conv1.weight.grad is not None
 
 
@@ -817,9 +836,9 @@ def test_conv1_gradient_and_output_are_gone_when_it_rebuilds_columns(monkeypatch
     ],
 )
 def test_dx_from_the_transposed_gradient_matches_the_contiguous_one(dtype, n, c, oc, size, k, stride, padding):
-    # a trainable conv's dx GEMMs read the gradient from its transposed copy,
-    # at a row stride n times as long; a frozen one's read the incoming
-    # gradient as it came. The input gradients must be the same bytes
+    # a trainable conv's backward makes each block's dW GEMMs before its dx
+    # GEMMs; a frozen one's makes only the dx GEMMs. Both read the incoming
+    # gradient as it came, and the input gradients must be the same bytes
     grads = []
     for trainable in (True, False):
         conv, x = chunked_conv(np.random.default_rng(n), dtype, n, c, oc, size, k, stride, padding)
